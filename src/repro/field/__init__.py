@@ -3,7 +3,9 @@
 The field API (:class:`~repro.field.prime_field.PrimeField` /
 :class:`~repro.field.element.FpElement`) is what all curve arithmetic is
 written against.  Concrete fields differ in their internal representation and
-word-level algorithms:
+reduction (all compute on Python integers; the word-level routines of
+:mod:`repro.mpa` are the reference they match and the source of their
+word-op tallies):
 
 * :class:`~repro.field.prime_field.GenericPrimeField` — plain residues
   (functional baseline, toy fields).

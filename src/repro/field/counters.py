@@ -12,9 +12,15 @@ cycle estimates per processor mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 from ..mpa.counters import WordOpCounter
+
+#: Field-level tally names, in :meth:`FieldOpCounter.state` order.
+FIELD_OPS = ("add", "sub", "neg", "mul", "sqr", "mul_small", "inv")
+#: Word-level tally names, in the order they follow :data:`FIELD_OPS` in
+#: :meth:`FieldOpCounter.state`.
+WORD_OPS = ("mul", "add", "sub", "load", "store", "shift")
 
 
 @dataclass
@@ -52,6 +58,20 @@ class FieldOpCounter:
             "mul_small": self.mul_small,
             "inv": self.inv,
         }
+
+    def state(self) -> Tuple[int, ...]:
+        """Every tally as one flat tuple — :data:`FIELD_OPS` then
+        :data:`WORD_OPS` — cheap to take and to subtract (span open/close)."""
+        w = self.words
+        return (self.add, self.sub, self.neg, self.mul, self.sqr,
+                self.mul_small, self.inv,
+                w.mul, w.add, w.sub, w.load, w.store, w.shift)
+
+    @classmethod
+    def from_state(cls, state: Sequence[int]) -> "FieldOpCounter":
+        """The counter whose :meth:`state` is *state*."""
+        n = len(FIELD_OPS)
+        return cls(*state[:n], words=WordOpCounter(*state[n:]))
 
     def mul_equivalents(self, sqr_weight: float = 1.0, addsub_weight: float = 0.05,
                         mul_small_weight: float = 0.27) -> float:

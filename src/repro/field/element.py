@@ -3,9 +3,9 @@
 Elements carry a reference to their :class:`~repro.field.prime_field.PrimeField`
 and an *internal* representation (Montgomery-domain and possibly incompletely
 reduced for OPFs, plain residue for generic fields).  All arithmetic routes
-through the field object so that operation counting and the word-level
-algorithms are exercised uniformly, no matter which curve or protocol sits on
-top.
+through the field object so that every operation is counted — field ops and
+the word-op tallies they stand for — uniformly, no matter which curve or
+protocol sits on top.
 """
 
 from __future__ import annotations

@@ -2,24 +2,38 @@
 
 OPF elements are stored in the Montgomery domain (radix ``R = 2^(s*w)``) and
 *incompletely reduced*: the internal value may be anywhere in ``[0, R)`` as
-long as it is congruent to the represented element.  Addition/subtraction use
-the branch-less double-conditional-subtraction from paper Section III-A;
-multiplication and squaring use the OPF-optimised FIPS Montgomery routine
-(``s^2 + s`` word multiplications).  This means every field operation at the
-Python API level actually executes the word-level algorithm the paper's AVR
-assembly implements.
+long as it is congruent to the represented element.  Addition/subtraction
+follow the paper's branch-less double conditional subtraction (Section
+III-A); multiplication and squaring are Montgomery multiplications whose
+word-level form is the OPF-optimised FIPS routine (``s^2 + s`` word
+multiplications).
+
+The arithmetic runs on Python integers and returns exactly the internal
+value the word-level routines in :mod:`repro.mpa` produce: one whole-radix
+REDC yields the same quotient as digit-serial FIPS, and the conditional
+subtractions/additions of ``p`` are decided against ``R`` as the carry
+chain decides them.  Those routines stay the reference (the equivalence
+tests compare against them) and the source of the word-op tallies: each is
+branch-free, so its counts are measured once per field and charged per
+operation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from collections import deque
+from typing import Deque, Optional
 
 from ..mpa.addsub import modadd_incomplete, modsub_incomplete
+from ..mpa.counters import word_tally
 from ..mpa.montgomery import MontgomeryContext, fips_montgomery_opf
-from ..mpa.words import DEFAULT_WORD_BITS, from_words, to_words
+from ..mpa.words import DEFAULT_WORD_BITS, to_words
 from .inversion import kaliski_almost_inverse
 from .prime_field import PrimeField
+
+#: Inversions whose phase-1 iteration counts an OPF field keeps (the
+#: most recent ones); bounded so a long-running process does not grow.
+INVERSION_LOG_SIZE = 1024
 
 
 def is_opf_prime_shape(p: int, word_bits: int = DEFAULT_WORD_BITS) -> bool:
@@ -70,15 +84,30 @@ class OptimalPrimeField(PrimeField):
         self.mont = MontgomeryContext.create(p, word_bits)
         self.num_words = self.mont.num_words
         self.radix_bits = self.num_words * word_bits
-        self._p_words = self.mont.p_words
-        #: Phase-1 iteration counts of every inversion performed — exposed for
-        #: the leakage analysis of the projective-to-affine conversion.
-        self.inversion_iteration_counts: List[int] = []
+        r = self.mont.r
+        self._r = r
+        self._r_mask = r - 1
+        self._r_inv = pow(r, -1, p)
+        self._one = r % p
+        #: ``-p^-1 mod R``: the whole-radix REDC quotient constant.
+        self._n_prime = -pow(p, -1, r) % r
+        zeros, p_words = [0] * self.num_words, self.mont.p_words
+        self._add_tally = word_tally(modadd_incomplete, zeros, zeros,
+                                     p_words, word_bits)
+        self._sub_tally = word_tally(modsub_incomplete, zeros, zeros,
+                                     p_words, word_bits)
+        self._mul_tally = word_tally(fips_montgomery_opf, zeros, zeros,
+                                     self.mont)
+        #: Phase-1 iteration counts of the most recent inversions — exposed
+        #: for the leakage analysis of the projective-to-affine conversion.
+        self.inversion_iteration_counts: Deque[int] = deque(
+            maxlen=INVERSION_LOG_SIZE)
 
     # -- representation -----------------------------------------------------
 
     def int_to_internal(self, value: int) -> int:
-        """Enter the Montgomery domain (one counted FIPS multiplication).
+        """Enter the Montgomery domain (one counted Montgomery multiplication
+        by ``R^2 mod p``).
 
         The constants 0 and 1 are free: their Montgomery forms (0 and
         ``R mod p``) would live in ROM on the real device.
@@ -87,40 +116,60 @@ class OptimalPrimeField(PrimeField):
         if value == 0:
             return 0
         if value == 1:
-            return self.mont.r % self.p
+            return self._one
         self.counter.mul += 1
-        v_words = to_words(value, self.num_words, self.word_bits)
-        r2_words = to_words(self.mont.r2, self.num_words, self.word_bits)
-        out = fips_montgomery_opf(v_words, r2_words, self.mont,
-                                  self.counter.words)
-        return from_words(out, self.word_bits)
+        return self._mul(value, self.mont.r2)
 
     def internal_to_int(self, internal: int) -> int:
         """Leave the Montgomery domain and fully reduce (uncounted read-out)."""
-        r_inv = pow(self.mont.r, -1, self.p)
-        return (internal * r_inv) % self.p
-
-    # -- word helpers --------------------------------------------------------
-
-    def _words(self, internal: int) -> List[int]:
-        return to_words(internal, self.num_words, self.word_bits)
+        return internal * self._r_inv % self.p
 
     # -- arithmetic -----------------------------------------------------------
+    #
+    # Each operation charges its reference routine's word-op tally first, as
+    # the routine itself has counted everything by the time it checks its
+    # invariant; the AssertionErrors mirror those checks, which only a toy
+    # field with p < R/2 can trip.
 
     def _add(self, x: int, y: int) -> int:
-        out = modadd_incomplete(self._words(x), self._words(y), self._p_words,
-                                self.word_bits, self.counter.words)
-        return from_words(out, self.word_bits)
+        """:func:`~repro.mpa.addsub.modadd_incomplete`: subtract ``p`` while
+        the sum carries out of ``R``, at most twice."""
+        self.counter.words.charge(self._add_tally)
+        t = x + y
+        if t >= self._r:
+            t -= self.p
+            if t >= self._r:
+                t -= self.p
+                if t >= self._r:
+                    raise AssertionError(
+                        "incomplete reduction invariant violated: residual "
+                        "carry after two conditional subtractions")
+        return t
 
     def _sub(self, x: int, y: int) -> int:
-        out = modsub_incomplete(self._words(x), self._words(y), self._p_words,
-                                self.word_bits, self.counter.words)
-        return from_words(out, self.word_bits)
+        """:func:`~repro.mpa.addsub.modsub_incomplete`: add ``p`` back while
+        the difference borrows, at most twice."""
+        self.counter.words.charge(self._sub_tally)
+        t = x - y
+        if t < 0:
+            t += self.p
+            if t < 0:
+                t += self.p
+                if t < 0:
+                    raise AssertionError(
+                        "incomplete reduction invariant violated: residual "
+                        "borrow after two conditional additions")
+        return t
 
     def _mul(self, x: int, y: int) -> int:
-        out = fips_montgomery_opf(self._words(x), self._words(y), self.mont,
-                                  self.counter.words)
-        return from_words(out, self.word_bits)
+        """:func:`~repro.mpa.montgomery.fips_montgomery_opf` as one
+        whole-radix REDC: ``(xy + m p) / R`` with ``m = -xy p^-1 mod R``,
+        then one subtraction of ``p`` if that reaches ``R``."""
+        self.counter.words.charge(self._mul_tally)
+        t = x * y
+        m = (t & self._r_mask) * self._n_prime & self._r_mask
+        t = (t + m * self.p) >> self.radix_bits
+        return t - self.p if t >= self._r else t
 
     def _mul_small(self, x: int, constant: int) -> int:
         # Multiplying the Montgomery form by a *plain* short constant keeps
@@ -131,21 +180,13 @@ class OptimalPrimeField(PrimeField):
 
     def _inv(self, x: int) -> int:
         # x = a * R (mod p, possibly incompletely reduced).  The inverse in
-        # internal form is a^-1 * R = x^-1 * R^2 mod p.
+        # internal form is a^-1 * R = x^-1 * R^2 mod p.  Phase 1 runs bit by
+        # bit because its iteration count k is the recorded leakage quantity.
         plain = x % self.p
         almost, k = kaliski_almost_inverse(plain, self.p)
         self.inversion_iteration_counts.append(k)
-        # almost = plain^-1 * 2^k; adjust the exponent to reach R^2 = 2^(2n).
-        target = 2 * self.radix_bits
-        result = almost
-        if k <= target:
-            for _ in range(target - k):
-                result = result * 2
-                if result >= self.p:
-                    result -= self.p
-        else:  # pragma: no cover - cannot happen for k <= 2 * bitlen(p)
-            result = (result * pow(2, target - k, self.p)) % self.p
-        return result
+        # almost = plain^-1 * 2^k; phase 2 scales by 2^(2n - k) to reach R^2.
+        return almost * pow(2, 2 * self.radix_bits - k, self.p) % self.p
 
     def random_element(self, rng: Optional[random.Random] = None):
         """Uniformly random element; may be produced incompletely reduced."""

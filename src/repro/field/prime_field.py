@@ -2,14 +2,19 @@
 
 :class:`PrimeField` defines the API all curve and protocol code is written
 against; concrete subclasses provide the internal representation and the
-word-level arithmetic:
+arithmetic:
 
 * :class:`GenericPrimeField` — plain residues with Python big-int reduction.
   Used for toy fields in tests and as the functional baseline.
 * :class:`~repro.field.opf.OptimalPrimeField` — Montgomery-domain,
-  incompletely reduced OPF arithmetic on 32-bit words (the paper's library).
+  incompletely reduced OPF arithmetic (the paper's library).
 * :class:`~repro.field.secp160r1_field.Secp160r1Field` — the standardized
   curve's field with its dedicated pseudo-Mersenne reduction.
+
+All three compute on Python integers.  The two paper fields produce exactly
+the internal values of the word-level routines in :mod:`repro.mpa`, which
+remain the reference and the source of the word-op tallies each operation
+charges.
 
 Every field owns a :class:`~repro.field.counters.FieldOpCounter`; the
 element operators bump it, which is how the cycle model later prices a whole
@@ -24,7 +29,7 @@ from typing import List, Optional
 from ..obs import trace as _trace
 from .counters import FieldOpCounter
 from .element import FpElement
-from .inversion import binary_euclid_inverse, tonelli_shanks_sqrt
+from .inversion import tonelli_shanks_sqrt
 
 
 class PrimeField:
@@ -244,4 +249,4 @@ class GenericPrimeField(PrimeField):
         return (x * constant) % self.p
 
     def _inv(self, x: int) -> int:
-        return binary_euclid_inverse(x, self.p)
+        return pow(x, -1, self.p)

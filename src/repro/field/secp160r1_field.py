@@ -8,15 +8,19 @@ of a product is multiplied by the small constant ``2^31 + 1`` and added back —
 additions rather than the multiplication-based reduction of OPFs, which is
 exactly the contrast the paper draws between generalized-Mersenne-style
 primes and OPFs.
+
+Products are formed with Python integers.  The word-level product-scanning
+routine in :mod:`repro.mpa` stays the reference for the product and the
+source of the word-op tally charged per multiplication.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..mpa.counters import word_tally
 from ..mpa.mul import byte_muls_per_word_mul, mul_product_scanning
-from ..mpa.words import DEFAULT_WORD_BITS, from_words, to_words
-from .inversion import binary_euclid_inverse
+from ..mpa.words import DEFAULT_WORD_BITS
 from .prime_field import PrimeField
 
 #: The SECG secp160r1 prime.
@@ -26,9 +30,10 @@ SECP160R1_P = (1 << 160) - (1 << 31) - 1
 class Secp160r1Field(PrimeField):
     """F_p for p = 2^160 - 2^31 - 1 with fold-based fast reduction.
 
-    Elements are stored as plain residues.  Multiplication runs the real
-    word-level product (Comba/hybrid organisation, with byte-level MUL
-    counting) followed by the two-fold pseudo-Mersenne reduction.
+    Elements are stored as plain residues.  Multiplication is the integer
+    product followed by the two-fold pseudo-Mersenne reduction; it charges
+    the word-op tally of the Comba/hybrid product-scanning routine, whose
+    byte-level MUL count :attr:`byte_muls_per_field_mul` gives.
     """
 
     cost_profile = "secp160r1"
@@ -41,6 +46,9 @@ class Secp160r1Field(PrimeField):
         self.byte_muls_per_field_mul = (
             self.num_words ** 2 * byte_muls_per_word_mul(word_bits)
         )
+        zeros = [0] * self.num_words
+        self._mul_tally = word_tally(mul_product_scanning, zeros, zeros,
+                                     word_bits)
 
     # -- representation -----------------------------------------------------
 
@@ -81,16 +89,11 @@ class Secp160r1Field(PrimeField):
         return t + self.p if t < 0 else t
 
     def _mul(self, x: int, y: int) -> int:
-        xw = to_words(x, self.num_words, self.word_bits)
-        yw = to_words(y, self.num_words, self.word_bits)
-        product = from_words(
-            mul_product_scanning(xw, yw, self.word_bits, self.counter.words),
-            self.word_bits,
-        )
-        return self.reduce_product(product)
+        self.counter.words.charge(self._mul_tally)
+        return self.reduce_product(x * y)
 
     def _mul_small(self, x: int, constant: int) -> int:
         return self.reduce_product(x * constant)
 
     def _inv(self, x: int) -> int:
-        return binary_euclid_inverse(x, self.p)
+        return pow(x, -1, self.p)

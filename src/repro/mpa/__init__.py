@@ -9,7 +9,10 @@ FIPS variant whose word-multiplication count drops from ``2s^2 + s`` to
 
 Every routine tallies word-level operations into an optional
 :class:`~repro.mpa.counters.WordOpCounter`, which the cycle model and the
-tests use to verify the paper's analytic operation counts.
+tests use to verify the paper's analytic operation counts.  The field layer
+(:mod:`repro.field`) computes on Python integers instead; these routines are
+the reference its results are tested against, and the source of the
+per-operation word-op tallies it charges.
 """
 
 from .addsub import (

@@ -29,11 +29,12 @@ context manager) around the region of interest, then export through
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..field.counters import FIELD_OPS, WORD_OPS, FieldOpCounter
 from .metrics import METRICS
 
 __all__ = [
@@ -56,13 +57,18 @@ _SPANS_STARTED = METRICS.counter(
 
 
 class Span:
-    """One timed region with attributes, counter deltas and children."""
+    """One timed region with attributes, counter deltas and children.
+
+    A span is its own context manager: ``with tracer.span(...) as s``
+    opens it on the tracer and closes it on exit.
+    """
 
     __slots__ = ("name", "kind", "t0_ns", "t1_ns", "attrs", "children",
-                 "_counter", "_before")
+                 "_counter", "_before", "_tracer")
 
     def __init__(self, name: str, kind: str = "span",
-                 counter: Any = None, attrs: Optional[Dict[str, Any]] = None):
+                 counter: Optional[FieldOpCounter] = None,
+                 attrs: Optional[Dict[str, Any]] = None):
         self.name = name
         self.kind = kind
         self.t0_ns = 0
@@ -70,7 +76,14 @@ class Span:
         self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
         self.children: List["Span"] = []
         self._counter = counter
-        self._before = counter.copy() if counter is not None else None
+        self._before = counter.state() if counter is not None else None
+        self._tracer: Optional["Tracer"] = None
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._tracer.end(self)
 
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes (e.g. measured ISS cycles) to the span."""
@@ -82,21 +95,29 @@ class Span:
         return max(0, self.t1_ns - self.t0_ns)
 
     def _close_counter(self, cost_fn: Optional[Callable]) -> None:
+        """Attach the :class:`~repro.field.counters.FieldOpCounter` delta
+        accumulated since the span opened (only its non-zero tallies)."""
         if self._counter is None:
             return
-        delta = self._counter.delta(self._before)
-        ops = {k: v for k, v in delta.snapshot().items() if v}
-        words = {k: v for k, v in delta.words.snapshot().items() if v}
+        after, before = self._counter.state(), self._before
+        self._counter = self._before = None
+        if after == before:
+            return
+        n = len(FIELD_OPS)
+        ops = {k: a - b for k, a, b in zip(FIELD_OPS, after, before) if a != b}
+        words = {k: a - b for k, a, b in zip(WORD_OPS, after[n:], before[n:])
+                 if a != b}
         if ops:
             self.attrs["field_ops"] = ops
         if words:
             self.attrs["word_ops"] = words
-        if cost_fn is not None and (ops or words):
+        if cost_fn is not None:
             try:
-                self.attrs["cycles_est"] = round(float(cost_fn(delta)), 1)
+                self.attrs["cycles_est"] = round(float(cost_fn(
+                    FieldOpCounter.from_state(
+                        tuple(map(operator.sub, after, before))))), 1)
             except Exception:
                 pass  # pricing is best-effort decoration, never fatal
-        self._counter = self._before = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, kind={self.kind!r}, "
@@ -127,9 +148,10 @@ class Tracer:
 
     # -- span lifecycle ------------------------------------------------------
 
-    def start(self, name: str, kind: str = "span", counter: Any = None,
-              **attrs: Any) -> Span:
-        span = Span(name, kind, counter=counter, attrs=attrs)
+    def start(self, name: str, kind: str = "span",
+              counter: Optional[FieldOpCounter] = None, **attrs: Any) -> Span:
+        span = Span(name, kind, counter, attrs)
+        span._tracer = self
         span.t0_ns = self._clock()
         if self._stack:
             self._stack[-1].children.append(span)
@@ -150,14 +172,10 @@ class Tracer:
             top.t1_ns = span.t1_ns
             top._close_counter(self.cost_fn)
 
-    @contextmanager
-    def span(self, name: str, kind: str = "span", counter: Any = None,
-             **attrs: Any) -> Iterator[Span]:
-        s = self.start(name, kind, counter=counter, **attrs)
-        try:
-            yield s
-        finally:
-            self.end(s)
+    def span(self, name: str, kind: str = "span",
+             counter: Optional[FieldOpCounter] = None, **attrs: Any) -> Span:
+        """Open a span to use as a context manager (closed on exit)."""
+        return self.start(name, kind, counter=counter, **attrs)
 
     # -- results -------------------------------------------------------------
 
@@ -250,7 +268,10 @@ def traced(name: str, kind: str = "span",
                 return fn(*args, **kwargs)
             c = counter(*args, **kwargs) if counter is not None else None
             attrs = attrs_fn(*args, **kwargs) if attrs_fn is not None else {}
-            with tr.span(name, kind=kind, counter=c, **attrs):
+            span = tr.start(name, kind, c, **attrs)
+            try:
                 return fn(*args, **kwargs)
+            finally:
+                tr.end(span)
         return wrapper
     return deco

@@ -624,7 +624,7 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
     the record's speedups).
     """
     if n is None:
-        n = 8 if smoke else 24
+        n = 64 if smoke else 192
     if shard_counts is None:
         shard_counts = (1, 2) if smoke else (1, 2, 4)
     requests = build_requests(n, mix="keygen:secp160r1=1", seed=1601)
