@@ -69,11 +69,13 @@ docs-check:
 	$(PYTHON) -m repro docs --check
 
 # Serving gate (DESIGN.md §8): a 200-request deterministic loadgen mix
-# against 1- and 2-worker in-process servers — zero errors and a
-# byte-stable JSONL summary under the fixed seed (each --check runs the
-# stream twice and compares bytes) — then the serving benchmark, which
-# enforces the fixed-base (>=1.5x) and served-throughput (>=2x) floors
-# without touching the committed BENCH_serve.json.
+# against a 1-process (in-process) server and a fresh 2-process cluster
+# — zero errors and a byte-stable JSONL summary under the fixed seed
+# (each --check runs the stream twice and compares bytes) — then the
+# serving benchmark, which enforces its floors (fixed-base >=1.5x,
+# served >=2x, traced:untraced >=0.70, 2-process:1-process >=1.5x,
+# named:inline >=0.6, quota shed >=0.2) without touching the committed
+# BENCH_serve.json.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --workers 1 --n 200 --seed 7 --check \
 	    --out /dev/null
@@ -82,36 +84,36 @@ serve-smoke:
 	$(PYTHON) -m repro loadgen --bench --smoke --bench-output none
 
 # Scale-out gate (DESIGN.md §8 "Scale-out"): the deterministic --check
-# stream against a fresh 2-shard cluster (port-per-shard ingress,
-# deterministic round-robin over 8 connections, comb tables attached
-# from the shared store) — zero errors and byte-identical summaries
-# across two runs, whatever the shard topology.
+# stream against a fresh cluster of 2 serving processes (port-per-
+# process ingress, deterministic round-robin over 8 connections, comb
+# tables inherited from the supervisor) — zero errors and
+# byte-identical summaries across two runs, whatever the topology.
 shard-smoke:
-	$(PYTHON) -m repro loadgen --shards 2 --connections 8 --workers 1 \
+	$(PYTHON) -m repro loadgen --workers 2 --connections 8 \
 	    --n 200 --seed 7 --check --out /dev/null
 
 # Named-key gate (DESIGN.md §8 "Named keys", docs/tenancy.md): the
 # deterministic --check stream with secret-bearing ops rewritten onto
-# server-resident keys over two tenants, against a fresh 2-shard
-# cluster (key setup lands through shard 0, resolution rides the shared
-# journal everywhere) — then the targeted acceptance tests: the
-# create/rotate/use round-trip with generation pinning, and the
-# cluster scenario (cross-shard visibility, per-tenant counters in
-# cluster stats, no secret on the wire, keys surviving a forced shard
-# respawn).
+# server-resident keys over two tenants, against a fresh cluster of 2
+# serving processes (key setup lands through process 0, resolution
+# rides the shared journal everywhere) — then the targeted acceptance
+# tests: the create/rotate/use round-trip with generation pinning, the
+# cluster scenario (cross-process visibility, per-tenant counters in
+# cluster stats, no secret on the wire, keys surviving a forced
+# respawn) and two writers racing on one journal.
 keys-smoke:
-	$(PYTHON) -m repro loadgen --shards 2 --tenants 2 --workers 1 \
+	$(PYTHON) -m repro loadgen --workers 2 --tenants 2 \
 	    --n 100 --seed 7 --check --out /dev/null
 	$(PYTHON) -m pytest -q tests/test_serve_keys.py \
-	    -k "cluster or generation_pinning or quota_shed"
+	    -k "cluster or generation_pinning or quota_shed or JournalWriters"
 
 # Observability gate for the serving stack (DESIGN.md §4/§8): a traced
-# loadgen run must join every reply's trace id into a cross-process span
-# tree, pass the Chrome-trace schema check, dump a slowlog, and the
-# Prometheus stats endpoint must answer through the wire with the serve
-# counter families present.
+# loadgen run must join every reply's trace id into a client -> server
+# -> kernel span tree, pass the Chrome-trace schema check, dump a
+# slowlog, and the Prometheus stats endpoint must answer through the
+# wire with the serve counter families present.
 obs-serve-smoke:
-	$(PYTHON) -m repro loadgen --workers 2 --n 50 --seed 7 --trace \
+	$(PYTHON) -m repro loadgen --workers 1 --n 50 --seed 7 --trace \
 	    --slowlog /tmp/repro_slowlog.json --scrape --out /dev/null \
 	    | grep -q "serve_requests_total"
 	$(PYTHON) -c "import json; from repro.obs.export import \

@@ -26,24 +26,25 @@
     python -m repro ctcheck ladder --check --expect clean   # the CI gate
     python -m repro docs              # regenerate docs/ API reference;
                                       # --check verifies pages + links
-    python -m repro serve --workers 4 --port 9477   # the batched ECC
-                                      # service (NDJSON over TCP)
-    python -m repro serve --workers 4 --tracing --slowlog-out slow.json
+    python -m repro serve --port 9477 # the ECC service (NDJSON over
+                                      # TCP): one process executing
+                                      # requests inline
+    python -m repro serve --tracing --slowlog-out slow.json
                                       # trace every request; dump the
                                       # slowest trees as Chrome JSON
-    python -m repro serve --shards 4 --workers 1   # scale-out: four
-                                      # shard processes on one port
+    python -m repro serve --workers 4 # scale-out: four serving
+                                      # processes on one port
                                       # (SO_REUSEPORT or a round-robin
-                                      # redirector), comb tables served
-                                      # from one shared-memory store
+                                      # redirector), comb tables built
+                                      # once before the fork
     python -m repro loadgen --workers 1 --n 200 --seed 7 --check
                                       # deterministic load generator;
                                       # --bench appends BENCH_serve.json
                                       # and enforces the speedup floors
-    python -m repro loadgen --shards 2 --connections 8 --n 200
+    python -m repro loadgen --workers 2 --connections 8 --n 200
                                       # high-concurrency mode against a
-                                      # fresh 2-shard cluster
-    python -m repro loadgen --workers 2 --n 50 --trace --scrape
+                                      # fresh 2-process cluster
+    python -m repro loadgen --n 50 --trace --scrape
                                       # traced run: join + validate the
                                       # span trees, scrape Prometheus
                                       # stats through the wire
@@ -76,7 +77,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "docs": ("repro.docgen",
              "generate (or --check) the docs/ API reference"),
     "serve": ("repro.serve.server",
-              "batched ECC service over NDJSON/TCP; --shards scales out"),
+              "ECC service over NDJSON/TCP; --workers scales out"),
     "loadgen": ("repro.serve.loadgen",
                 "deterministic load generator + serving benchmark"),
 }

@@ -262,14 +262,15 @@ _ENTRY_FIELDS = {
 
 #: Execution paths a ``family: "serve"`` entry may carry (the serving
 #: benchmark of :mod:`repro.serve.loadgen`): the one-at-a-time baseline,
-#: the fixed-base comb path, the full batched pool at any width, the
-#: pool with request tracing enabled (the tracing-overhead row), an
-#: N-shard cluster of :mod:`repro.serve.shard` (the scale-out rows),
-#: the named-key vs inline-key shard twins of the tenancy benchmark
+#: the fixed-base comb path, the served pipeline (``served``; records
+#: from before inline execution carry ``pool<N>`` rows instead), the
+#: same with request tracing enabled (the tracing-overhead row), N
+#: serving processes of :mod:`repro.serve.shard` (the scale-out rows),
+#: the named-key vs inline-key twins of the tenancy benchmark
 #: (``inline_shard<N>`` / ``named_shard<N>``), or the quota-shed leg
 #: (``quota``: a deliberately over-budget tenant stream).
 _SERVE_ENGINE = re.compile(
-    r"direct|fixedbase|pool[0-9]+(_traced)?|shard[0-9]+"
+    r"direct|fixedbase|(served|pool[0-9]+)(_traced)?|shard[0-9]+"
     r"|inline_shard[0-9]+|named_shard[0-9]+|quota")
 
 
@@ -279,7 +280,7 @@ def validate_entry(entry: Dict[str, Any]) -> None:
     Two entry families share the layout: ISS throughput entries
     (``family`` "field"/"curve", engine fast/reference, mode an
     :class:`~repro.avr.timing.Mode`) and serving entries (``family``
-    "serve", engine direct/fixedbase/pool<N>, mode a curve key, ``ips``
+    "serve", engine direct/fixedbase/served/..., mode a curve key, ``ips``
     measured in operations per second).
     """
     if not isinstance(entry, dict):

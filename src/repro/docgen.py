@@ -58,7 +58,7 @@ _NARRATIVE = (
 #: link-checked like everything else).
 _GUIDES = (
     ("operations.md", "Operator's guide",
-     "running the ECC service in production: sharding, capacity "
+     "running the ECC service in production: scale-out, capacity "
      "planning, overload, telemetry"),
     ("tenancy.md", "Tenancy guide",
      "multi-tenant named keys: lifecycle, auth tokens, quotas and "

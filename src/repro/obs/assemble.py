@@ -1,36 +1,35 @@
-"""Join per-process trace shards into end-to-end request span trees.
+"""Join request stage stamps and execution spans into end-to-end trees.
 
-The serving stack (DESIGN.md §8) splits one request's life across at
-least two processes: the asyncio front-end stamps stage timestamps
-(accept -> queue -> dispatch -> reply) and the pool worker runs the
-actual cryptography under a :class:`~repro.obs.trace.Tracer`, shipping
-its span shard back with the batch reply as :func:`~repro.obs.trace
-.span_to_dict` payloads.  Nothing in either process sees the whole
-request; this module does the join.
+The serving stack (DESIGN.md §8) stamps each traced request's stages as
+it moves through a serving process (accept -> queue -> execute ->
+reply) and runs the cryptography under a fresh
+:class:`~repro.obs.trace.Tracer`, keeping its span tree as
+:func:`~repro.obs.trace.span_to_dict` payloads; the client may stamp
+its own send/receive times in another process.  This module does the
+join.
 
 * :class:`RequestTrace` is the per-request record the server accumulates
   as the request moves through the pipeline — trace id, stage
-  timestamps, worker pid and the worker's span shard (plus optional
-  client-side send/receive stamps when the client participates, as the
-  load generator does).
+  timestamps and the execution's spans (plus optional client-side
+  send/receive stamps when the client participates, as the load
+  generator does).
 * :func:`assemble` turns records into one :class:`~repro.obs.trace.Span`
   tree per request: ``client -> request -> queue/worker`` with the
-  worker's own spans (scalarmult, point ops, kernel runs) grafted under
-  the worker span, so the paper-style attribution of PR 2 now crosses
-  the fork boundary.
+  execution's own spans (scalarmult, point ops, kernel runs) grafted
+  under the worker span.
 * :func:`records_to_chrome` renders record sets as a Chrome
-  trace-event object with **one lane per pid** (client, server
-  front-end and each worker render as separate "processes"),
+  trace-event object with **one lane per pid** (the client and each
+  serving process render as separate "processes"),
   `validate_chrome`-clean.
 * :class:`FlightRecorder` is the tail-sampling ring: it keeps the N
   slowest completed requests' records, the data behind the server's
   ``--slowlog`` dump and the loadgen ``--slowlog`` flag.
 
 All timestamps are ``time.perf_counter_ns`` values.  On one host every
-process reads the same monotonic clock, so shards interleave on a
-common timeline without clock translation; the assembler still clamps
-children into their parent's window so rounding can never produce the
-negative durations ``validate_chrome`` rejects.
+process reads the same monotonic clock, so client and server stamps
+interleave on a common timeline without clock translation; the
+assembler still clamps children into their parent's window so rounding
+can never produce the negative durations ``validate_chrome`` rejects.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ __all__ = [
 
 @dataclass
 class RequestTrace:
-    """Everything one traced request left behind, across processes."""
+    """Everything one traced request left behind."""
 
     trace_id: str
     req_id: int
@@ -61,17 +60,13 @@ class RequestTrace:
     curve: Optional[str]
     server_pid: int
     t_accept_ns: int
-    #: Set when the batcher handed the request to the pool.
+    #: Set when the executor dequeued the request to run it.
     t_dispatch_ns: Optional[int] = None
     #: Set when the reply was written back to the client.
     t_reply_ns: Optional[int] = None
-    #: Pid of the worker that executed the request (None: never ran —
-    #: shed, expired, or answered inline).
-    worker_pid: Optional[int] = None
-    #: The worker's span shard (span_to_dict roots), if any.
-    worker_spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: How many requests shared the dispatched batch.
-    batch_size: int = 0
+    #: The execution's span tree (span_to_dict roots); empty when the
+    #: request never ran — shed, expired, or answered inline.
+    spans: List[Dict[str, Any]] = field(default_factory=list)
     #: "ok" or the error type of the reply.
     status: str = "ok"
     #: Client-side send/receive stamps (same monotonic clock), when the
@@ -88,8 +83,8 @@ class RequestTrace:
 
 
 def _clamp(span: Span, lo: int, hi: int) -> None:
-    """Force *span* (recursively) inside [lo, hi] so cross-process
-    rounding never yields a child that leaks outside its parent."""
+    """Force *span* (recursively) inside [lo, hi] so stamp rounding
+    never yields a child that leaks outside its parent."""
     span.t0_ns = min(max(span.t0_ns, lo), hi)
     span.t1_ns = min(max(span.t1_ns, span.t0_ns), hi)
     for child in span.children:
@@ -108,7 +103,7 @@ def assemble_one(record: RequestTrace) -> Span:
     request = Span("request", kind="serve", attrs={
         "trace": record.trace_id, "id": record.req_id, "op": record.op,
         "curve": record.curve, "pid": record.server_pid,
-        "status": record.status, "batch": record.batch_size,
+        "status": record.status,
     })
     request.t0_ns, request.t1_ns = record.t_accept_ns, t_end
     if record.t_dispatch_ns is not None:
@@ -116,8 +111,8 @@ def assemble_one(record: RequestTrace) -> Span:
                       attrs={"trace": record.trace_id})
         queued.t0_ns, queued.t1_ns = record.t_accept_ns, record.t_dispatch_ns
         request.children.append(queued)
-    for shard in record.worker_spans:
-        request.children.append(span_from_dict(shard))
+    for root in record.spans:
+        request.children.append(span_from_dict(root))
     for child in request.children:
         _clamp(child, request.t0_ns, request.t1_ns)
     if record.client_t0_ns is None or record.client_t1_ns is None:
@@ -138,8 +133,8 @@ def assemble(records: List[RequestTrace]) -> Dict[str, Span]:
 def records_to_chrome(records: List[RequestTrace]) -> Dict[str, Any]:
     """Chrome trace-event JSON for a record set, one lane per pid.
 
-    The server front-end and every worker pid get their own "process"
-    row (named via ``process_name`` metadata events); each span lands on
+    The client and every serving process get their own "process" row
+    (named via ``process_name`` metadata events); each span lands on
     the lane of the pid that produced it, in microseconds relative to
     the earliest accept.  Validated by :func:`repro.obs.export
     .validate_chrome` (a test pins this).
@@ -156,7 +151,7 @@ def records_to_chrome(records: List[RequestTrace]) -> Dict[str, Any]:
                            "pid": pid, "tid": 0, "args": {"name": name}})
         return pid
 
-    def emit(span: Span, target: int, rec: RequestTrace) -> None:
+    def emit(span: Span, target: int, server: int) -> None:
         events.append({
             "ph": "X", "name": span.name, "cat": span.kind,
             "pid": target, "tid": 1,
@@ -165,26 +160,16 @@ def records_to_chrome(records: List[RequestTrace]) -> Dict[str, Any]:
             "args": {k: v for k, v in span.attrs.items() if v is not None},
         })
         for child in span.children:
-            # A span that names a pid (the worker shard's root does)
-            # switches lanes; everything else inherits its parent's.
-            pid = child.attrs.get("pid")
-            if pid is not None and pid != rec.server_pid:
-                child_target = lane(pid, f"worker[{pid}]")
-            elif child.name == "request":
-                child_target = lane(rec.server_pid,
-                                    f"serve-front[{rec.server_pid}]")
-            else:
-                child_target = target
-            emit(child, child_target, rec)
+            # The request span (under a client root) moves to the
+            # serving process's lane; everything else stays put.
+            emit(child, server if child.name == "request" else target,
+                 server)
 
     for rec in records:
         tree = assemble_one(rec)
-        if tree.name == "client":
-            root_lane = lane(0, "client")
-        else:
-            root_lane = lane(rec.server_pid,
-                             f"serve-front[{rec.server_pid}]")
-        emit(tree, root_lane, rec)
+        server = lane(rec.server_pid, f"serve[{rec.server_pid}]")
+        emit(tree, lane(0, "client") if tree.name == "client" else server,
+             server)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -200,7 +185,7 @@ class FlightRecorder:
     duration); the common fast path — a request quicker than the current
     floor with the ring full — is one comparison.  This is the data
     behind the ``--slowlog`` dumps: after an incident the ring holds the
-    worst requests' full cross-process trees, no log scraping required.
+    worst requests' full span trees, no log scraping required.
     """
 
     def __init__(self, capacity: int = 64):

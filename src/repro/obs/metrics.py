@@ -12,13 +12,14 @@ not a Prometheus client.  (The "Exports + CLI" piece of DESIGN.md §4
 "Observability".)
 
 Fork-safety (DESIGN.md §8 "Serving layer"): ``METRICS`` is plain
-process-global state.  A forked worker inherits the parent's tallies,
-which would double-count the moment the worker reported back, so worker
+process-global state.  A forked child inherits the parent's tallies,
+which would double-count the moment it reported them, so forked
 processes MUST call :meth:`MetricsRegistry.reset_for_fork` before doing
-any work (the serve pool initializer does) and report their own counter
-values with each reply; the parent folds them in through
-:meth:`MetricsRegistry.merge_counters`.  Nothing here is shared memory —
-aggregation is explicit message passing.
+any work (each serving process under the shard supervisor does).
+Nothing here is shared memory — aggregation across processes is
+explicit: the shard supervisor's stats board sums the snapshots each
+process publishes, and :meth:`MetricsRegistry.merge_counters` folds in
+another process's counter deltas.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class MetricsRegistry:
     def set_label(self, name: str, value: Optional[str]) -> None:
         """Set (or with ``None``, drop) a registry-wide default label.
 
-        The shard supervisor labels each shard process once at entry;
-        :meth:`reset_for_fork` deliberately keeps labels, so pool
-        workers forked under a shard inherit its identity in their own
+        The shard supervisor labels each serving process once at entry;
+        :meth:`reset_for_fork` deliberately keeps labels, so a process
+        forked after labelling keeps its identity in its own
         expositions.
         """
         if not _PROM_NAME_OK.fullmatch(name):
@@ -224,7 +225,7 @@ class MetricsRegistry:
                 if name.startswith(prefix)}
 
     def counters_snapshot(self) -> Dict[str, Number]:
-        """Counter values only — the mergeable subset a worker reports."""
+        """Counter values only — the summable subset a process reports."""
         return {name: m.value for name, m in sorted(self._metrics.items())
                 if isinstance(m, Counter)}
 
@@ -233,8 +234,8 @@ class MetricsRegistry:
 
         Unknown names are registered on the fly; non-counter name
         collisions raise (the same guarantee :meth:`counter` gives).
-        Negative deltas are rejected — a worker restart must re-baseline
-        (see :class:`~repro.serve.server.EccServer`), never subtract.
+        Negative deltas are rejected — a restarted reporter must
+        re-baseline, never subtract.
         """
         for name, delta in deltas.items():
             if delta < 0:
@@ -253,10 +254,10 @@ class MetricsRegistry:
             hist.sum = 0.0
 
     def reset_for_fork(self) -> None:
-        """Mandatory first call in a forked worker: drop inherited tallies.
+        """Mandatory first call in a forked child: drop inherited tallies.
 
         Re-stamps the owning pid so :meth:`check_fork_isolation` can
-        flag a worker that skipped isolation.
+        flag a child that skipped isolation.
         """
         self.reset()
         self._pid = os.getpid()

@@ -19,7 +19,6 @@ from .fixed_base import (
     scalar_mult_fixed_base,
 )
 from .glv_mult import glv_precompute, glv_scalar_mult, shamir_scalar_mult
-from .table_store import TableStore, TableStoreError, build_store
 from .ladder import (
     coz_ladder,
     coz_ladder_xy,
@@ -79,9 +78,6 @@ __all__ = [
     "scalar_mult_fixed_base",
     "scalar_mult_naf",
     "scalar_mult_wnaf",
-    "TableStore",
-    "TableStoreError",
-    "build_store",
     "batch_invert",
     "precompute_odd_multiples",
     "wnaf_table_ram_bytes",

@@ -19,7 +19,8 @@ opposite regime — RAM is plentiful, the base point never changes, and
 thousands of fixed-base operations amortize one table build.  Tables are
 therefore cached per (curve, base, width, bits) in a process-wide LRU
 cache with an explicit byte budget (:class:`FixedBaseCache`), built once
-per worker process and shared by every request the worker serves.
+per serving process (or once before a fork) and shared by every request
+the process serves.
 
 Family support mirrors :mod:`repro.scalarmult.adapters`:
 
@@ -128,37 +129,6 @@ class FixedBaseTable:
         else:
             self.rows = self._build()
         _TABLES_BUILT.inc()
-
-    @classmethod
-    def from_rows(cls, curve, base: AffinePoint, width: int, bits: int,
-                  rows: List[List[Optional[AffinePoint]]],
-                  ) -> "FixedBaseTable":
-        """A table around precomputed *rows* — the deserialization path
-        of :mod:`repro.scalarmult.table_store`.
-
-        Skips :meth:`_build` entirely and does **not** tick
-        ``fixed_base_tables_built`` (the acceptance signal that workers
-        attach the shared store instead of precomputing); the caller
-        vouches for the rows (the store's sha256 digest does).
-        """
-        if width < 1 or width > 8:
-            raise ValueError("comb width must be in 1..8")
-        if bits < 1:
-            raise ValueError("scalar length must be positive")
-        table = cls.__new__(cls)
-        table.curve = curve
-        table.base = base
-        table.width = width
-        table.bits = bits
-        table.windows = -(-bits // width)
-        table._mask = (1 << width) - 1
-        if len(rows) != table.windows \
-                or any(len(row) != table._mask for row in rows):
-            raise ValueError(
-                f"rows must be {table.windows} windows of "
-                f"{table._mask} entries")
-        table.rows = rows
-        return table
 
     # -- construction --------------------------------------------------------
 
@@ -291,17 +261,11 @@ class FixedBaseCache:
     budget is refused outright; otherwise least-recently-used tables are
     evicted until the new table fits.
 
-    Fork-safety: the cache is plain process-local state.  Worker
-    processes either inherit built tables copy-on-write (fork start
-    method — free sharing) or build their own on first use; they never
-    write back to the parent.
-
-    With a :class:`~repro.scalarmult.table_store.TableStore` attached
-    (:meth:`attach_store` — the shard supervisor's workers do this),
-    the cache becomes the in-process tier of a two-level hierarchy:
-    L1 hit -> shared-store deserialize -> local build, in that order.
-    A corrupt store entry degrades to a local build instead of failing
-    the request.
+    Fork-safety: the cache is plain process-local state.  Forked
+    processes either inherit built tables copy-on-write (the shard
+    supervisor builds its warm tables before forking for exactly this)
+    or build their own on first use; they never write back to the
+    parent.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES):
@@ -309,12 +273,6 @@ class FixedBaseCache:
             raise ValueError("budget must be positive")
         self.budget_bytes = budget_bytes
         self._tables: "OrderedDict[CacheKey, FixedBaseTable]" = OrderedDict()
-        #: Optional read-only shared tier consulted on an LRU miss.
-        self.store = None
-
-    def attach_store(self, store) -> None:
-        """Install (or with ``None``, detach) the shared-store tier."""
-        self.store = store
 
     @staticmethod
     def _key(curve, base: AffinePoint, width: int, bits: int) -> CacheKey:
@@ -332,17 +290,6 @@ class FixedBaseCache:
             self._tables.move_to_end(key)
             _CACHE_HITS.inc()
             return table
-        if self.store is not None:
-            try:
-                table = self.store.load(curve, base, width=width, bits=bits)
-            except ValueError:  # TableStoreError: corrupt entry/segment
-                table = None
-            if table is not None:
-                # Over-budget loaded tables are served uncached rather
-                # than refused: the store already paid the build.
-                if table.ram_bytes <= self.budget_bytes:
-                    self._admit(key, table)
-                return table
         table = FixedBaseTable(curve, base, width=width, bits=bits)
         if table.ram_bytes > self.budget_bytes:
             raise ValueError(
@@ -374,7 +321,7 @@ class FixedBaseCache:
                 "budget_bytes": self.budget_bytes}
 
 
-#: The process-wide cache (one per worker process after fork).
+#: The process-wide cache (one per serving process after fork).
 TABLE_CACHE = FixedBaseCache()
 
 _fb_counter = lambda curve, *a, **kw: curve.field.counter  # noqa: E731

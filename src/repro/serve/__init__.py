@@ -1,11 +1,13 @@
-"""repro.serve — the batched, multi-worker ECC service.
+"""repro.serve — the ECC service.
 
-An asyncio TCP front-end (:mod:`repro.serve.server`) speaking
-newline-delimited JSON (:mod:`repro.serve.protocol`), dispatching
-batches of compatible requests to a :mod:`multiprocessing` worker pool
-(:mod:`repro.serve.worker`) whose fixed-base comb tables
-(:mod:`repro.scalarmult.fixed_base`) make the common fixed-point
+An asyncio TCP server (:mod:`repro.serve.server`) speaking
+newline-delimited JSON (:mod:`repro.serve.protocol`) that executes each
+admitted request inline on its own event loop
+(:mod:`repro.serve.worker`), with fixed-base comb tables
+(:mod:`repro.scalarmult.fixed_base`) making the common fixed-point
 operations several times faster than the variable-base path.
+``--workers N`` runs N such serving processes behind one port
+(:mod:`repro.serve.shard`).
 Server-resident named keys, tenancy and quotas live in
 :mod:`repro.serve.keys` (the ``key_create`` / ``key_rotate`` /
 ``key_delete`` / ``key_info`` ops, plus ``params.key`` on sign/ECDH).

@@ -1,14 +1,15 @@
 """Clients for the ECC service: blocking and asyncio.
 
 Both speak the NDJSON protocol of :mod:`repro.serve.protocol` and
-correlate replies by request ``id`` — the server batches compatible
-requests, so replies can arrive out of order and the clients reorder
-them transparently.
+correlate replies by request ``id`` — the server answers ``stats``, key
+lifecycle ops and load-shed replies at admission, ahead of queued
+work, so replies can arrive out of order and the clients reorder them
+transparently.
 
 * :class:`ServeClient` — synchronous, socket-per-client.  ``call()``
   for one-at-a-time RPC, ``call_many()`` to pipeline a whole request
-  list in one write burst (this is what exercises server-side
-  batching).
+  list in one write burst (this is what fills the server's bounded
+  queue).
 * :class:`AsyncServeClient` — asyncio twin with the same surface;
   ``call()`` is a coroutine and concurrent callers share one
   connection (a background reader task routes replies to futures).

@@ -7,20 +7,21 @@ signs or agrees with ``params.key = "<name>"`` afterwards — the secret
 never appears in a request or reply again.  Three cooperating pieces:
 
 * :class:`KeyRegistry` — the per-process view of the key namespace.
-  The server front-end owns a *writable* registry (it answers the
-  ``key_create`` / ``key_rotate`` / ``key_delete`` / ``key_info`` ops
-  inline at accept, like ``stats``); every pool worker attaches a
-  *read-only* registry over the same journal and resolves
-  ``(tenant, name, generation)`` to a private scalar itself — key
-  material is never serialized into batch chunks.
+  Each serving process owns one: it answers the ``key_create`` /
+  ``key_rotate`` / ``key_delete`` / ``key_info`` ops at admission
+  (like ``stats``) and resolves ``(tenant, name, generation)`` to a
+  private scalar when a named-key request executes.
 * **The journal** — an append-only NDJSON file, one line per mutation.
-  Writers append with ``O_APPEND`` + fsync (single lines, atomic on
-  POSIX), readers tail it from their last offset, tolerating a
-  trailing partial line.  Replay is how keys survive shard respawns
-  and how sibling shards (separate processes appending to the same
-  file) see each other's mutations: a lookup miss triggers a tail
-  refresh before failing.  File order is the total order — every
-  reader folds the same lines the same way.
+  A mutation holds the file's exclusive ``flock`` while it catches up
+  with the file, validates, appends one line (``O_APPEND`` + fsync)
+  and reads its own line back, so every read offset comes from the
+  file and sibling writers can neither interleave a check-then-append
+  nor shift each other's offsets.  Readers tail the file from their
+  last offset, tolerating a trailing partial line.  Replay is how
+  keys survive a respawn and how sibling serving processes see each
+  other's mutations: a lookup miss triggers a tail refresh before
+  failing.  File order is the total order — every reader folds the
+  same lines the same way.
 * **Tenants + quotas** — each tenant has an auth token, a live-key
   budget (``max_keys``) and a request-rate token bucket
   (``rate`` / ``burst``).  A drained bucket sheds with the typed
@@ -35,7 +36,7 @@ never appears in a request or reply again.  Three cooperating pieces:
 Rotation is **generation-tagged**: ``key_rotate`` appends a new
 generation rather than overwriting, and the server pins each admitted
 request to the generation it saw at admission (``params
-.key_generation``), so a batch already in flight completes under the
+.key_generation``), so a request already queued completes under the
 key it was admitted with while new requests pick up the new
 generation.  All generations stay resolvable from the journal;
 ``key_delete`` retires the whole name.
@@ -49,6 +50,8 @@ summaries hold for named-key streams too.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -95,7 +98,8 @@ _DELETES = METRICS.counter(
 _RESOLVES = METRICS.counter(
     "serve_key_resolves_total", "named-key lookups resolved to a scalar")
 _REPLAYS = METRICS.counter(
-    "serve_key_journal_replays_total", "journal tail refreshes applied")
+    "serve_key_journal_replays_total",
+    "journal lines applied by tail refreshes (own appends included)")
 _QUOTA_SHED = METRICS.counter(
     "serve_quota_shed_total",
     "requests shed with a QuotaExceeded reply (all tenants)")
@@ -182,7 +186,7 @@ class KeyRecord:
     curve: str
     generation: int
     #: Generation -> private scalar.  All generations stay resolvable
-    #: (the journal is append-only) so in-flight batches pinned to an
+    #: (the journal is append-only) so queued requests pinned to an
     #: older generation complete under the key they were admitted with.
     generations: Dict[int, int] = field(default_factory=dict)
     #: Wire-form public part of the *current* generation: a point
@@ -201,7 +205,7 @@ class KeyRecord:
 
 @dataclass
 class KeyRef:
-    """A resolved key use: what a worker signs with."""
+    """A resolved key use: what a request signs with."""
 
     private: int
     generation: int
@@ -237,20 +241,17 @@ class Tenant:
 class KeyRegistry:
     """One process's view of the tenant/key namespace.
 
-    With a *journal_path*, every mutation appends one NDJSON line
-    (``O_APPEND`` + fsync) and every lookup miss tails the file for
-    lines other processes appended since — which is all the cross-shard
-    coordination there is.  Without a path the registry is memory-only
-    (the pool-free direct execution path).  ``writable=False`` marks a
-    worker-side attach: mutations raise, resolution works.
+    With a *journal_path*, every mutation appends one NDJSON line under
+    the journal's exclusive lock and every lookup miss tails the file
+    for lines other processes appended since — which is all the
+    cross-process coordination there is.  Without a path the registry
+    is memory-only (the server-free direct execution path).
     """
 
     def __init__(self, journal_path: Optional[str] = None,
                  tenants: Optional[Dict[str, Dict[str, Any]]] = None,
-                 time_fn: Callable[[], float] = time.monotonic,
-                 writable: bool = True):
+                 time_fn: Callable[[], float] = time.monotonic):
         self.journal_path = journal_path
-        self.writable = writable
         self._time = time_fn
         self._offset = 0
         self._partial = b""
@@ -315,21 +316,37 @@ class KeyRegistry:
 
     # -- the journal ---------------------------------------------------------
 
-    def _append(self, entry: Dict[str, Any]) -> None:
+    @contextlib.contextmanager
+    def _mutation(self):
+        """Hold the journal's exclusive lock and catch up under it.
+
+        Yields a function that records one entry: appended to the
+        journal (one ``O_APPEND`` write + fsync) and then read back by
+        :meth:`refresh`, so the state and the read offset both come
+        from the file, never from this writer's own arithmetic.  The
+        caller's checks between entering and recording see every line
+        any sibling appended before the lock was granted.  Memory-only
+        registries apply the entry directly.
+        """
         if self.journal_path is None:
+            yield self._apply
             return
-        line = (json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                + "\n").encode()
-        # O_APPEND single-write: concurrent shard appends interleave at
-        # line granularity, never mid-line.
         fd = os.open(self.journal_path,
                      os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
         try:
-            os.write(fd, line)
-            os.fsync(fd)
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by close()
+            self.refresh()
+
+            def record(entry: Dict[str, Any]) -> None:
+                os.write(fd, (json.dumps(entry, sort_keys=True,
+                                         separators=(",", ":"))
+                              + "\n").encode())
+                os.fsync(fd)
+                self.refresh()
+
+            yield record
         finally:
             os.close(fd)
-        self._offset += len(line)
 
     def refresh(self) -> int:
         """Tail the journal from the last offset; returns lines applied.
@@ -398,15 +415,9 @@ class KeyRegistry:
 
     # -- the lifecycle ops ---------------------------------------------------
 
-    def _require_writable(self) -> None:
-        if not self.writable:
-            raise ProtocolError(
-                "this registry is a read-only attach; key mutations "
-                "belong to the server front-end")
-
     def _public_for(self, curve: str, private: int) -> Dict[str, str]:
-        """The wire-form public part (computed once per mutation; the
-        front-end pays this, never the batch path)."""
+        """The wire-form public part (computed once per mutation, never
+        on the request path)."""
         from ..curves.params import make_suite
         from ..scalarmult import (
             adapter_for,
@@ -444,33 +455,28 @@ class KeyRegistry:
                seed: Optional[str] = None) -> Dict[str, Any]:
         """``key_create``: derive generation 1, journal it, return the
         public half (the private scalar never leaves the server)."""
-        self._require_writable()
-        self.refresh()
-        tenant = self._tenant(tenant_name)
-        record = tenant.keys.get(name)
-        if record is not None and not record.deleted:
-            raise ProtocolError(
-                f"key {name!r} already exists (generation "
-                f"{record.generation}); rotate or delete it")
-        if tenant.live_keys() >= tenant.max_keys:
-            _QUOTA_SHED.inc()
-            METRICS.counter(
-                f"serve_tenant_{tenant_name}_quota_shed_total").inc()
-            raise QuotaExceeded(
-                f"tenant {tenant_name!r} is at its {tenant.max_keys}-key "
-                "budget; delete a key first")
-        generation = 1
-        private = self._derive(curve, tenant_name, name, generation,
-                               seed or name)
-        public = self._public_for(curve, private)
-        self._append({"action": "create", "tenant": tenant_name,
-                      "name": name, "curve": curve,
-                      "generation": generation,
-                      "private": to_hex(private), "public": public})
-        self._apply({"action": "create", "tenant": tenant_name,
-                     "name": name, "curve": curve,
-                     "generation": generation,
-                     "private": to_hex(private), "public": public})
+        with self._mutation() as record_entry:
+            tenant = self._tenant(tenant_name)
+            record = tenant.keys.get(name)
+            if record is not None and not record.deleted:
+                raise ProtocolError(
+                    f"key {name!r} already exists (generation "
+                    f"{record.generation}); rotate or delete it")
+            if tenant.live_keys() >= tenant.max_keys:
+                _QUOTA_SHED.inc()
+                METRICS.counter(
+                    f"serve_tenant_{tenant_name}_quota_shed_total").inc()
+                raise QuotaExceeded(
+                    f"tenant {tenant_name!r} is at its {tenant.max_keys}-"
+                    "key budget; delete a key first")
+            generation = 1
+            private = self._derive(curve, tenant_name, name, generation,
+                                   seed or name)
+            public = self._public_for(curve, private)
+            record_entry({"action": "create", "tenant": tenant_name,
+                          "name": name, "curve": curve,
+                          "generation": generation,
+                          "private": to_hex(private), "public": public})
         _CREATES.inc()
         METRICS.counter(f"serve_tenant_{tenant_name}_keys_total").inc()
         return {"name": name, "curve": curve, "generation": generation,
@@ -481,34 +487,27 @@ class KeyRegistry:
         """``key_rotate``: append the next generation.  Requests already
         admitted stay pinned to the generation they saw; everything
         admitted after this returns uses the new one."""
-        self._require_writable()
-        self.refresh()
-        record = self._record(tenant_name, name)
-        generation = record.generation + 1
-        private = self._derive(record.curve, tenant_name, name, generation,
-                               seed or f"{name}:{generation}")
-        public = self._public_for(record.curve, private)
-        self._append({"action": "rotate", "tenant": tenant_name,
-                      "name": name, "curve": record.curve,
-                      "generation": generation,
-                      "private": to_hex(private), "public": public})
-        self._apply({"action": "rotate", "tenant": tenant_name,
-                     "name": name, "curve": record.curve,
-                     "generation": generation,
-                     "private": to_hex(private), "public": public})
+        with self._mutation() as record_entry:
+            record = self._record(tenant_name, name)
+            generation = record.generation + 1
+            private = self._derive(record.curve, tenant_name, name,
+                                   generation,
+                                   seed or f"{name}:{generation}")
+            public = self._public_for(record.curve, private)
+            record_entry({"action": "rotate", "tenant": tenant_name,
+                          "name": name, "curve": record.curve,
+                          "generation": generation,
+                          "private": to_hex(private), "public": public})
         _ROTATES.inc()
         return {"name": name, "curve": record.curve,
                 "generation": generation, "public": public}
 
     def delete(self, tenant_name: str, name: str) -> Dict[str, Any]:
         """``key_delete``: retire the name (all generations)."""
-        self._require_writable()
-        self.refresh()
-        record = self._record(tenant_name, name)
-        self._append({"action": "delete", "tenant": tenant_name,
-                      "name": name})
-        self._apply({"action": "delete", "tenant": tenant_name,
-                     "name": name})
+        with self._mutation() as record_entry:
+            self._record(tenant_name, name)
+            record_entry({"action": "delete", "tenant": tenant_name,
+                          "name": name})
         _DELETES.inc()
         return {"name": name, "deleted": True}
 
@@ -521,7 +520,7 @@ class KeyRegistry:
         tenant = self._tenant(tenant_name)
         record = tenant.keys.get(name)
         if record is None or record.deleted:
-            # Another shard may have created it since our last tail.
+            # A sibling process may have created it since our last tail.
             self.refresh()
             record = tenant.keys.get(name)
         if record is None:
@@ -539,7 +538,8 @@ class KeyRegistry:
         (the server's admission pin, or a client pin) must exist —
         retired generations stay resolvable, unknown ones are
         ``BadRequest``.  Misses tail the journal before failing, which
-        is how a worker sees a key the front-end created moments ago.
+        is how one serving process sees a key a sibling created moments
+        ago.
         """
         record = self._record(tenant_name, name)
         if generation is None:

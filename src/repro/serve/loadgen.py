@@ -2,8 +2,9 @@
 
 ``python -m repro loadgen`` builds a reproducible request stream from a
 seed and a mix spec, drives it at a server (external ``--target``, an
-in-process server with ``--workers N``, or the pool-free direct path
-with ``--workers 0``), and writes a **byte-stable** JSONL summary:
+in-process server with ``--workers 1``, a fresh cluster of N serving
+processes with ``--workers N``, or the server-free direct path with
+``--workers 0``), and writes a **byte-stable** JSONL summary:
 every request's reply keyed by id, canonical JSON, no timestamps — two
 runs with the same seed against a correct server produce identical
 bytes.  That property is the serve determinism gate (``--check`` runs
@@ -17,20 +18,19 @@ measured through four execution paths —
                   capability: the baseline),
 * ``fixedbase``   one request at a time through the comb tables of
                   :mod:`repro.scalarmult.fixed_base`,
-* ``pool<N>``     the full pipeline: pipelined client, batching
-                  server, N-worker pool, fixed-base tables,
-* ``pool<N>_traced``  the widest pool with end-to-end request tracing
-                  on — its ratio to the untraced twin is the measured
-                  tracing overhead,
+* ``served``      the full pipeline: pipelined client, in-process
+                  server executing inline, fixed-base tables,
+* ``served_traced``  the same with end-to-end request tracing on — its
+                  ratio to the untraced twin is the measured tracing
+                  overhead,
 
 plus the scale-out legs ``mixed/secp160r1/shard<N>``: the default
-mixed workload against a fresh N-shard cluster of
-:mod:`repro.serve.shard` (port-per-shard mode, ``4*N`` round-robin
-client connections, one worker per shard so the shard count is the
-only parallelism knob), and the tenancy legs of
+mixed workload against a fresh cluster of N serving processes of
+:mod:`repro.serve.shard` (port-per-process mode, ``4*N`` round-robin
+client connections), and the tenancy legs of
 :mod:`repro.serve.keys` — ``ecdsa/secp160r1/inline_shard<N>`` vs
 ``named_shard<N>`` (the same ECDSA stream with inline private scalars
-vs server-resident named keys, per shard count; their ratio is the
+vs server-resident named keys, per process count; their ratio is the
 named-key overhead, floored by ``REPRO_NAMED_MIN_RATIO``) and
 ``ecdsa/secp160r1/quota`` (a deliberately over-budget tenant stream;
 the recorded ``named/quota_shed_fraction`` must clear
@@ -46,15 +46,15 @@ Results append to ``BENCH_serve.json`` using the run-record schema of
 per second).  Served entries also carry a ``latency_ms`` summary
 (count/mean/p50/p95/p99 of per-request accept-to-reply latency).
 Four floors gate the run (all env-overridable):
-``pool4/direct >= SERVE_MIN_SCALING``, ``fixedbase/direct >=
-FIXED_BASE_MIN_SPEEDUP``, ``pool<N>_traced/pool<N> >=
-TRACED_MIN_RATIO`` (the tracing hot-path guard) and ``shard<N>/shard1
->= SHARD_MIN_SCALING`` — with two or more cores; a single-core host
-falls back to the ``SHARD_SINGLE_CORE_MIN`` anti-regression check,
-since parallel shards cannot outrun one shard there.  On a single-core
-host the *pool* scaling floor is carried by the fixed-base algorithmic
-win (measured ~4-5x on secp160r1), not by parallelism — by design, so
-the gate is meaningful on any CI shape.
+``served/direct >= SERVE_MIN_SCALING``, ``fixedbase/direct >=
+FIXED_BASE_MIN_SPEEDUP``, ``served_traced/served >= TRACED_MIN_RATIO``
+(the tracing hot-path guard) and ``shard<N>/shard1 >=
+SHARD_MIN_SCALING`` — with two or more cores; a single-core host falls
+back to the ``SHARD_SINGLE_CORE_MIN`` anti-regression check, since
+parallel processes cannot outrun one process there.  The served
+floor is carried by the fixed-base algorithmic win (measured ~4-5x on
+secp160r1), not by parallelism — by design, so the gate is meaningful
+on any CI shape.
 
 ``--trace`` turns on request tracing for the normal (non-bench) run:
 every reply's trace id is joined into a cross-process span tree by
@@ -82,8 +82,7 @@ from ..obs.assemble import FlightRecorder, RequestTrace, assemble, \
     records_to_chrome
 from ..obs.export import validate_chrome
 from ..scalarmult import adapter_for, montgomery_ladder_x, scalar_mult_naf
-from ..scalarmult.fixed_base import TABLE_CACHE
-from . import protocol, worker
+from . import protocol
 from .client import AsyncServeClient
 from .keys import tenant_token
 from .protocol import to_hex
@@ -107,8 +106,8 @@ __all__ = [
     "parse_mix",
     "run_bench_serve",
     "run_direct",
+    "run_processes",
     "run_served",
-    "run_sharded",
     "summarize",
 ]
 
@@ -121,35 +120,35 @@ LOADGEN_OPS = frozenset(
 DEFAULT_MIX = ("keygen:secp160r1=6,ecdsa_sign:secp160r1=2,"
                "schnorr_sign:secp160r1=1,scalarmult:secp160r1=1")
 
-#: Floor on served (4-worker, batched, fixed-base) vs direct
-#: single-request throughput for keygen/secp160r1.
+#: Floor on served (pipelined, fixed-base) vs direct single-request
+#: throughput for keygen/secp160r1.
 SERVE_MIN_SCALING = float(os.environ.get("REPRO_SERVE_MIN_SCALING", "2.0"))
 
 #: Floor on the fixed-base comb speedup over variable-base NAF alone.
 FIXED_BASE_MIN_SPEEDUP = float(
     os.environ.get("REPRO_FIXED_BASE_MIN_SPEEDUP", "1.5"))
 
-#: Floor on traced/untraced pool throughput: the tracing hot-path
+#: Floor on traced/untraced served throughput: the tracing hot-path
 #: guard.  A same-run ratio (not an absolute wall-clock) so it holds on
 #: any CI shape; measured ~0.9+ locally, the floor leaves headroom for
 #: noisy shared runners.
 TRACED_MIN_RATIO = float(os.environ.get("REPRO_SERVE_TRACED_MIN", "0.70"))
 
-#: Floor on multi-shard vs one-shard throughput (same run, mixed
+#: Floor on multi-process vs one-process throughput (same run, mixed
 #: workload) — the scale-out gate.  Only meaningful where there are
 #: cores to scale onto; see :data:`SHARD_SINGLE_CORE_MIN`.
 SHARD_MIN_SCALING = float(os.environ.get("REPRO_SHARD_MIN_SCALING", "1.5"))
 
-#: On a single-core host sharding cannot beat one shard — the gate
+#: On a single-core host more processes cannot beat one — the gate
 #: degrades to an anti-regression check: the supervisor/redirector
 #: fan-out must not *collapse* throughput below this fraction of the
-#: one-shard figure.
+#: one-process figure.
 SHARD_SINGLE_CORE_MIN = float(
     os.environ.get("REPRO_SHARD_SINGLE_CORE_MIN", "0.6"))
 
-#: Floor on named-key vs inline-key throughput at the same shard count.
-#: Named use adds admission work (auth, token bucket, generation pin)
-#: and a worker-side registry lookup, but no extra curve arithmetic —
+#: Floor on named-key vs inline-key throughput at the same process
+#: count.  Named use adds admission work (auth, token bucket,
+#: generation pin) and a registry lookup, but no extra curve arithmetic —
 #: it must stay within striking distance of the inline path.
 NAMED_MIN_RATIO = float(os.environ.get("REPRO_NAMED_MIN_RATIO", "0.6"))
 
@@ -161,8 +160,9 @@ QUOTA_SHED_MIN = float(os.environ.get("REPRO_QUOTA_SHED_MIN", "0.2"))
 
 SERVE_OUTPUT = "BENCH_serve.json"
 
-#: Serve throughput wobbles more than the ISS microbenchmarks (pool
-#: startup, batching) — the regression gate is correspondingly loose.
+#: Serve throughput wobbles more than the ISS microbenchmarks (process
+#: startup, client scheduling) — the regression gate is correspondingly
+#: loose.
 SERVE_CHECK_THRESHOLD = 0.50
 
 
@@ -346,15 +346,12 @@ def run_direct(requests: Sequence[Dict[str, Any]],
     With ``fixed_base=False`` this is exactly the repository's pre-serve
     capability — variable-base NAF per request.  Table builds happen
     before the clock starts so the wall time measures steady state.
-    A named-key *setup* phase (``build_key_setup``) runs against a
-    fresh in-process key registry, also before the clock.
+    A named-key *setup* phase (``build_key_setup``) runs against the
+    fresh state's own key registry, also before the clock.
     """
     state = WorkerState(fixed_base=fixed_base)
     state.warm(warm)
     if setup:
-        # Fresh registry per run so --check's second pass can re-create
-        # the same keys (the direct path's registry is process-global).
-        worker._KEYS = None
         for req in setup:
             reply = execute_request(req, state)
             if not reply["ok"]:
@@ -375,7 +372,7 @@ async def _drive(targets: Sequence[Tuple[str, int]],
 
     Opens ``connections`` client connections, connection *j* to
     ``targets[j % len(targets)]`` (deterministic round-robin — this is
-    how the shard benchmark spreads load without depending on the
+    how the multi-process benchmark spreads load without depending on the
     kernel's SO_REUSEPORT hashing), and sends request *i* down
     connection ``i % connections``.  The single-server single-connection
     case is ``targets=[(host, port)], connections=1``.
@@ -439,9 +436,8 @@ async def _run_setup(targets: Sequence[Tuple[str, int]],
 
 
 async def run_served(requests: Sequence[Dict[str, Any]],
-                     workers: int = 1, rate: float = 0.0,
+                     rate: float = 0.0,
                      target: Optional[Tuple[str, int]] = None,
-                     batch_max: int = 16,
                      queue_depth: Optional[int] = None,
                      fixed_base: bool = True,
                      warm: Sequence[str] = ("secp160r1",),
@@ -481,10 +477,10 @@ async def run_served(requests: Sequence[Dict[str, Any]],
     # When the caller wants every record, the flight recorder must not
     # evict: size it past the stream length.
     slowlog = max(64, 2 * len(requests)) if trace_sink is not None else 64
-    config = ServeConfig(port=0, workers=workers, batch_max=batch_max,
-                         queue_depth=queue_depth, fixed_base=fixed_base,
-                         warm_curves=tuple(warm), tracing=tracing,
-                         slowlog=slowlog, tenants=tenants_config)
+    config = ServeConfig(port=0, queue_depth=queue_depth,
+                         fixed_base=fixed_base, warm_curves=tuple(warm),
+                         tracing=tracing, slowlog=slowlog,
+                         tenants=tenants_config)
     server = EccServer(config)
     await server.start()
     try:
@@ -500,39 +496,39 @@ async def run_served(requests: Sequence[Dict[str, Any]],
         await server.stop()
 
 
-async def run_sharded(requests: Sequence[Dict[str, Any]],
-                      shards: int, workers: int = 1,
-                      connections: Optional[int] = None,
-                      rate: float = 0.0, batch_max: int = 16,
-                      fixed_base: bool = True,
-                      warm: Sequence[str] = ("secp160r1",),
-                      reuseport: bool = False,
-                      setup: Sequence[Dict[str, Any]] = (),
-                      tenants_config: Optional[Dict[str, Any]] = None
-                      ) -> Tuple[List[Dict[str, Any]], List[float], float]:
-    """Drive the stream at a fresh N-shard cluster of
-    :mod:`repro.serve.shard`.
+async def run_processes(requests: Sequence[Dict[str, Any]],
+                        workers: int,
+                        connections: Optional[int] = None,
+                        rate: float = 0.0,
+                        fixed_base: bool = True,
+                        warm: Sequence[str] = ("secp160r1",),
+                        reuseport: bool = False,
+                        setup: Sequence[Dict[str, Any]] = (),
+                        tenants_config: Optional[Dict[str, Any]] = None
+                        ) -> Tuple[List[Dict[str, Any]], List[float], float]:
+    """Drive the stream at a fresh cluster of *workers* serving
+    processes (:mod:`repro.serve.shard`).
 
-    Defaults to port-per-shard mode with the client round-robining its
-    connections across the shards' direct ports — deterministic load
-    placement, which is what the benchmark legs need (the kernel's
+    Defaults to port-per-process mode with the client round-robining
+    its connections across the processes' direct ports — deterministic
+    load placement, which is what the benchmark legs need (the kernel's
     SO_REUSEPORT hashing assigns whole connections arbitrarily).  With
     ``reuseport=True`` every connection goes to the one shared public
-    port instead.  ``connections`` defaults to ``4 * shards`` so each
-    shard sees concurrent load.  A named-key *setup* phase is driven
-    through shard 0 only — the cross-shard journal is what makes the
-    keys visible to every other shard, so this doubles as a live
-    exercise of that property.
+    port instead.  ``connections`` defaults to ``4 * workers`` so each
+    process sees concurrent load.  A named-key *setup* phase is driven
+    through process 0 only — the shared journal is what makes the keys
+    visible to every other process, so this doubles as a live exercise
+    of that property.
     """
     from .shard import ShardCluster  # deferred: keeps import cycles out
 
     if connections is None:
-        connections = 4 * shards
+        connections = 4 * workers
     queue_depth = max(2 * len(requests), 128)
-    config = ServeConfig(port=0, workers=workers, batch_max=batch_max,
-                         queue_depth=queue_depth, fixed_base=fixed_base,
-                         warm_curves=tuple(warm), tenants=tenants_config)
-    cluster = ShardCluster(shards, config, reuseport=reuseport)
+    config = ServeConfig(port=0, workers=workers, queue_depth=queue_depth,
+                         fixed_base=fixed_base, warm_curves=tuple(warm),
+                         tenants=tenants_config)
+    cluster = ShardCluster(config, reuseport=reuseport)
     await cluster.start()
     try:
         if reuseport:
@@ -610,28 +606,23 @@ def _assert_all_ok(replies: Sequence[Dict[str, Any]], what: str) -> None:
 
 
 def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
-                    pools: Sequence[int] = (1, 2, 4),
                     shard_counts: Optional[Sequence[int]] = None,
                     label: Optional[str] = None) -> Dict[str, Any]:
     """Measure the serving execution paths; return a schema-1 run record.
 
-    Covers the single-server paths (direct / fixedbase / pool<N> /
-    traced) on a keygen stream, then the shard-scaling legs
+    Covers the single-process paths (direct / fixedbase / served /
+    served_traced) on a keygen stream, then the scale-out legs
     (``mixed/secp160r1/shard<N>``): the DEFAULT_MIX workload against a
-    fresh N-shard cluster in deterministic port-per-shard mode, with
-    ``4 * N`` client connections.  Raises ``RuntimeError`` on any error
-    reply.  Floor checking is the caller's job (:func:`main` gates on
-    the record's speedups).
+    fresh cluster of N serving processes in deterministic
+    port-per-process mode, with ``4 * N`` client connections.  Raises
+    ``RuntimeError`` on any error reply.  Floor checking is the
+    caller's job (:func:`main` gates on the record's speedups).
     """
     if n is None:
         n = 64 if smoke else 192
     if shard_counts is None:
         shard_counts = (1, 2) if smoke else (1, 2, 4)
     requests = build_requests(n, mix="keygen:secp160r1=1", seed=1601)
-    # Warm the parent's comb table before any pool exists: forked
-    # workers inherit it copy-on-write and skip the per-worker build.
-    suite = make_suite("secp160r1")
-    TABLE_CACHE.get(suite.curve, suite.base)
 
     entries: List[Dict[str, Any]] = []
     replies, wall = run_direct(requests, fixed_base=False)
@@ -642,43 +633,34 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
     _assert_all_ok(replies, "fixedbase")
     entries.append(_bench_entry("fixedbase", n, wall))
 
-    for workers in pools:
+    # The served leg and its traced twin: their ratio is the measured
+    # tracing overhead, floor-checked by check_floors.
+    for engine, tracing in (("served", False), ("served_traced", True)):
         replies, lat, wall = asyncio.run(
-            run_served(requests, workers=workers))
-        _assert_all_ok(replies, f"pool{workers}")
-        entries.append(_bench_entry(f"pool{workers}", n, wall, lat))
-
-    # Tracing-overhead leg: the widest pool again, with per-request
-    # tracing on.  Its ratio to the untraced twin is the measured
-    # overhead, floor-checked by check_floors.
-    traced_workers = max(pools) if pools else 1
-    replies, lat, wall = asyncio.run(
-        run_served(requests, workers=traced_workers, tracing=True))
-    _assert_all_ok(replies, f"pool{traced_workers}_traced")
-    entries.append(_bench_entry(f"pool{traced_workers}_traced", n, wall, lat))
+            run_served(requests, tracing=tracing))
+        _assert_all_ok(replies, engine)
+        entries.append(_bench_entry(engine, n, wall, lat))
 
     direct_ips = entries[0]["ips"]
     speedups = {
         f"keygen/secp160r1/{e['engine']}:direct": e["ips"] / direct_ips
         for e in entries[1:]
     }
-    untraced = next(e for e in entries
-                    if e["engine"] == f"pool{traced_workers}")
-    speedups[f"keygen/secp160r1/pool{traced_workers}_traced:"
-             f"pool{traced_workers}"] = (
-        entries[-1]["ips"] / untraced["ips"] if untraced["ips"] else 0.0)
+    served, traced = entries[-2:]
+    speedups["keygen/secp160r1/served_traced:served"] = (
+        traced["ips"] / served["ips"] if served["ips"] else 0.0)
 
-    # Shard-scaling legs: the mixed workload against fresh N-shard
-    # clusters, port-per-shard + client round-robin for deterministic
-    # placement, one worker per shard so the shard count is the only
-    # parallelism knob.
-    n_shard = 24 if smoke else 60
+    # Scale-out legs: the mixed workload against fresh clusters of N
+    # serving processes, port-per-process + client round-robin for
+    # deterministic placement.  Sized so the 2-process side lasts at
+    # least 0.5 s on a 2-core host: shorter bursts read mostly
+    # scheduling noise.
+    n_shard = 600 if smoke else 1200
     shard_requests = build_requests(n_shard, mix=DEFAULT_MIX, seed=1602)
     shard_ips: Dict[int, float] = {}
     for count in shard_counts:
-        replies, lat, wall = asyncio.run(run_sharded(
-            shard_requests, shards=count, workers=1,
-            connections=4 * count))
+        replies, lat, wall = asyncio.run(run_processes(
+            shard_requests, workers=count))
         _assert_all_ok(replies, f"shard{count}")
         entry = _bench_entry(f"shard{count}", n_shard, wall, lat,
                              kernel="mixed")
@@ -693,11 +675,11 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
                 shard_ips[count] / shard_ips[base_count])
 
     # Tenancy legs (repro.serve.keys): the same ECDSA stream through a
-    # fresh cluster twice per shard count — inline private scalars vs
-    # server-resident named keys over two tenants (setup through shard
+    # fresh cluster twice per process count — inline private scalars vs
+    # server-resident named keys over two tenants (setup through process
     # 0; resolution everywhere else rides the shared journal).  Their
     # ratio is the full cost of auth + token bucket + generation pin +
-    # worker-side key resolution.
+    # key resolution.
     n_sign = 12 if smoke else 24
     sign_mix = "ecdsa_sign:secp160r1=1"
     inline_requests = build_requests(n_sign, mix=sign_mix, seed=1603)
@@ -705,16 +687,14 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
                                     tenants=2)
     named_setup = build_key_setup(2, sign_mix, seed=1603)
     for count in (1, 2):
-        replies, lat, wall = asyncio.run(run_sharded(
-            inline_requests, shards=count, workers=1,
-            connections=4 * count))
+        replies, lat, wall = asyncio.run(run_processes(
+            inline_requests, workers=count))
         _assert_all_ok(replies, f"inline_shard{count}")
         inline = _bench_entry(f"inline_shard{count}", n_sign, wall, lat,
                               kernel="ecdsa")
         entries.append(inline)
-        replies, lat, wall = asyncio.run(run_sharded(
-            named_requests, shards=count, workers=1,
-            connections=4 * count, setup=named_setup))
+        replies, lat, wall = asyncio.run(run_processes(
+            named_requests, workers=count, setup=named_setup))
         _assert_all_ok(replies, f"named_shard{count}")
         named = _bench_entry(f"named_shard{count}", n_sign, wall, lat,
                              kernel="ecdsa")
@@ -734,8 +714,7 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
     quota_setup = build_key_setup(1, sign_mix, seed=1604)
     quota_config = {"t0": {"rate": 25.0, "burst": 8}}
     replies, lat, wall = asyncio.run(run_served(
-        quota_requests, workers=1, setup=quota_setup,
-        tenants_config=quota_config))
+        quota_requests, setup=quota_setup, tenants_config=quota_config))
     shed = sum(1 for r in replies if not r["ok"]
                and r["error"]["type"] == "QuotaExceeded")
     stray = [r for r in replies if not r["ok"]
@@ -755,7 +734,7 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
         "label": label or ("serve-smoke" if smoke else "serve"),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "jobs": max(pools) if pools else 1,
+        "jobs": max(shard_counts) if shard_counts else 1,
         "entries": entries,
         "speedups": speedups,
     }
@@ -773,7 +752,7 @@ def render_serve(record: Dict[str, Any]) -> str:
         lines.append(f"{entry['name']:<28}{entry['reps']:>6}"
                      f"{entry['wall_s']:>9.2f}{entry['ips']:>10.1f}")
     lines.append("")
-    lines.append("speedups (vs the direct path; shardN vs one shard):")
+    lines.append("speedups (vs the direct path; shardN vs one process):")
     for key in sorted(record["speedups"]):
         lines.append(f"  {key:<40}{record['speedups'][key]:>6.2f}x")
     return "\n".join(lines)
@@ -800,10 +779,10 @@ def check_floors(record: Dict[str, Any],
         print(f"FAIL: fixed-base speedup {fb:.2f}x is below the "
               f"{fixed_base_floor:.2f}x floor")
         failed = True
-    pool_keys = [k for k in speedups
-                 if "/pool" in k and k.endswith(":direct")
-                 and "_traced" not in k]
-    best_key = max(pool_keys, key=lambda k: speedups[k], default=None)
+    served_keys = [k for k in speedups
+                   if k.startswith("keygen/") and k.endswith(":direct")
+                   and "/fixedbase:" not in k and "_traced" not in k]
+    best_key = max(served_keys, key=lambda k: speedups[k], default=None)
     if best_key is None or speedups[best_key] < scaling_floor:
         got = speedups.get(best_key, 0.0) if best_key else 0.0
         print(f"FAIL: served throughput scaling {got:.2f}x is below the "
@@ -811,13 +790,14 @@ def check_floors(record: Dict[str, Any],
         failed = True
     # The tracing hot-path guard: traced throughput as a fraction of
     # its untraced twin, from the same run.
-    for key in sorted(k for k in speedups if "_traced:pool" in k):
+    for key in sorted(k for k in speedups
+                      if "_traced:" in k and not k.endswith(":direct")):
         ratio = speedups[key]
         if ratio < traced_floor:
             print(f"FAIL: traced/untraced throughput ratio {ratio:.2f} "
                   f"({key}) is below the {traced_floor:.2f} floor")
             failed = True
-    # The scale-out gate: best multi-shard/one-shard ratio.
+    # The scale-out gate: best multi-process/one-process ratio.
     shard_keys = [k for k in speedups
                   if k.startswith("mixed/secp160r1/shard")
                   and ":shard" in k]
@@ -834,7 +814,7 @@ def check_floors(record: Dict[str, Any],
             shard_note = (f", shards {best_shard:.2f}x >= "
                           f"{shard_floor:.2f}x")
         else:
-            # One core: parallel shards cannot outrun one shard; only
+            # One core: parallel processes cannot outrun one; only
             # guard against the fan-out collapsing throughput.
             if best_shard < SHARD_SINGLE_CORE_MIN:
                 print(f"FAIL: single-core shard throughput ratio "
@@ -844,7 +824,7 @@ def check_floors(record: Dict[str, Any],
             shard_note = (f", shards {best_shard:.2f}x >= "
                           f"{SHARD_SINGLE_CORE_MIN:.2f}x "
                           "(single-core fallback)")
-    # The named-key overhead gate: named/inline throughput per shard
+    # The named-key overhead gate: named/inline throughput per process
     # count must stay above NAMED_MIN_RATIO.  Records predating the key
     # subsystem carry no such entries and skip the gate.
     named_note = ""
@@ -972,17 +952,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="host:port of a running server (default: "
                              "start an in-process one)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="in-process server pool size; 0 = no server "
-                             "(direct in-process execution); per shard "
-                             "with --shards")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="drive a fresh N-shard cluster (port-per-"
-                             "shard, deterministic round-robin); 0 = "
-                             "single server (default)")
+                        help="serving processes: 0 = no server (direct "
+                             "in-process execution), 1 = one in-process "
+                             "server (default), N > 1 = a fresh cluster "
+                             "of N processes (port-per-process, "
+                             "deterministic round-robin)")
     parser.add_argument("--connections", type=int, default=0,
                         help="client connections to spread the stream "
-                             "over (default 1, or 4 per shard with "
-                             "--shards)")
+                             "over (default 1, or 4 per process with "
+                             "--workers > 1)")
     parser.add_argument("--n", type=int, default=200,
                         help="requests to send (ignored with --duration)")
     parser.add_argument("--mix", default=DEFAULT_MIX,
@@ -1009,10 +987,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and identical summary bytes")
     parser.add_argument("--bench", action="store_true",
                         help="serving benchmark (direct / fixedbase / "
-                             "pool1 / pool2 / pool4 on keygen/secp160r1, "
-                             "shard1 / shard2 / shard4 clusters on the "
-                             "mixed workload, named-key vs inline ECDSA "
-                             "legs and a quota-shed leg); appends to "
+                             "served / served_traced on keygen/secp160r1, "
+                             "1 / 2 / 4 serving processes on the mixed "
+                             "workload, named-key vs inline ECDSA legs "
+                             "and a quota-shed leg); appends to "
                              "BENCH_serve.json and enforces the speedup "
                              "floors")
     parser.add_argument("--bench-output", default=SERVE_OUTPUT,
@@ -1021,9 +999,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="with --bench: smaller rep count")
     parser.add_argument("--no-fixed-base", action="store_true",
-                        help="disable fixed-base tables on the in-process "
-                             "server / direct path")
-    parser.add_argument("--batch-max", type=int, default=16)
+                        help="disable fixed-base tables on the started "
+                             "server(s) / direct path")
     parser.add_argument("--label", default=None,
                         help="free-form label stored in the bench record")
     parser.add_argument("--trace", action="store_true",
@@ -1068,23 +1045,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     setup = (build_key_setup(args.tenants, args.mix, seed=args.seed)
              if args.tenants else [])
 
-    if args.shards < 0:
-        parser.error("--shards must be >= 0")
+    if args.workers < 0:
+        parser.error("--workers must be >= 0")
     if args.connections < 0:
         parser.error("--connections must be >= 0")
-    if args.shards:
+    cluster = args.workers > 1
+    if cluster:
         if args.target is not None:
-            parser.error("--shards starts its own cluster; it cannot be "
-                         "used with --target")
+            parser.error("--workers > 1 starts its own cluster; it cannot "
+                         "be used with --target")
         if args.trace:
-            parser.error("--trace joins in-process records; shard "
-                         "processes are out of reach (use the server's "
-                         "--tracing + slowlog instead)")
+            parser.error("--trace joins in-process records; forked "
+                         "serving processes are out of reach (use the "
+                         "server's --tracing + slowlog instead)")
         if args.scrape:
             parser.error("--scrape reads one server; against a cluster "
                          "use the stats op with scope=cluster")
-        if args.workers < 1:
-            parser.error("--shards needs --workers >= 1 per shard")
     if args.trace and args.target is not None:
         parser.error("--trace joins records from the in-process server; "
                      "it cannot be used with --target")
@@ -1094,26 +1070,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "or --target)")
     if args.slowlog and not args.trace:
         parser.error("--slowlog requires --trace")
-    connections = args.connections or (4 * args.shards if args.shards
+    connections = args.connections or (4 * args.workers if cluster
                                        else 1)
     trace_sink: Optional[List[RequestTrace]] = [] if args.trace else None
     scrape_sink: Optional[List[str]] = [] if args.scrape else None
     client_times: Dict[str, Tuple[int, int]] = {}
 
     def one_run() -> Tuple[List[Dict[str, Any]], List[float], float]:
-        if args.shards:
-            return asyncio.run(run_sharded(
-                requests, shards=args.shards, workers=args.workers,
-                connections=connections, rate=args.rate,
-                batch_max=args.batch_max, fixed_base=fixed_base,
-                setup=setup))
+        if cluster:
+            return asyncio.run(run_processes(
+                requests, workers=args.workers, connections=connections,
+                rate=args.rate, fixed_base=fixed_base, setup=setup))
         if args.target is None and args.workers == 0:
             replies, wall = run_direct(requests, fixed_base=fixed_base,
                                        setup=setup)
             return replies, [], wall
         return asyncio.run(run_served(
-            requests, workers=args.workers, rate=args.rate,
-            target=args.target, batch_max=args.batch_max,
+            requests, rate=args.rate, target=args.target,
             fixed_base=fixed_base, tracing=args.trace,
             trace_sink=trace_sink, scrape_sink=scrape_sink,
             client_times=client_times if args.trace else None,

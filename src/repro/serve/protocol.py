@@ -1,8 +1,8 @@
 """Wire protocol of the ECC service: newline-delimited JSON.
 
 One request per line, one reply per line, correlated by a caller-chosen
-``id`` (replies may arrive out of order — the server batches compatible
-requests and worker completion order is not arrival order).
+``id`` (replies may arrive out of order — ``stats``, key lifecycle ops
+and load-shed replies are answered at admission, ahead of queued work).
 
 Request grammar::
 
@@ -20,12 +20,12 @@ Reply grammar::
 
 ``trace`` is the distributed-tracing context (DESIGN.md §8): a client
 that sets it (or a server started with ``--tracing``, which stamps one
-at accept) gets worker-side spans recorded under that id and the id
+at accept) gets the execution's spans recorded under that id and the id
 echoed back in the reply's ``meta.trace``, joinable into one
 end-to-end span tree by :mod:`repro.obs.assemble`.  The ``stats`` op is
 the operational telemetry endpoint: it takes no curve, is answered by
-the server front-end without queueing (so it stays reachable under
-overload), and returns queue depth, batch occupancy, shed counts and
+the serving process without queueing (so it stays reachable under
+overload), and returns queue depth, shed counts and
 per-(op, curve) latency percentiles — or, with ``params.format =
 "prometheus"``, the whole metrics registry in Prometheus text
 exposition format.  Under the shard supervisor of
@@ -129,8 +129,8 @@ TENANT_NAME = re.compile(r"[a-z][a-z0-9_]{0,23}")
 #: dots (they never appear in metric names), up to 64 chars.
 KEY_NAME = re.compile(r"[a-z][a-z0-9_.-]{0,63}")
 
-#: The key-lifecycle ops: answered inline by the server front-end
-#: (like ``stats``), always tenant-scoped.
+#: The key-lifecycle ops: answered inline at admission (like
+#: ``stats``), always tenant-scoped.
 KEY_OPS: FrozenSet[str] = frozenset(
     {"key_create", "key_rotate", "key_delete", "key_info"})
 
@@ -230,14 +230,14 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
     _spec("schnorr_verify", ORDER_CURVES, ["public", "msg", "e", "s"]),
     _spec("rsa_sign", (), ["n", "e", "d", "digest"]),
     _spec("rsa_verify", (), ["n", "e", "digest", "sig"]),
-    # Operational telemetry: answered inline by the server front-end
-    # (never queued, so it works under overload); the worker handler
-    # covers the pool-free direct path.  ``scope="cluster"`` asks a
-    # sharded server to aggregate across its sibling shards.
+    # Operational telemetry: answered inline at accept (never queued,
+    # so it works under overload); the worker handler covers the
+    # server-free direct path.  ``scope="cluster"`` asks a serving
+    # process under the supervisor to aggregate across its siblings.
     _spec("stats", (), [], ["format", "scope"]),
     # Named-key lifecycle (repro.serve.keys): tenant-scoped, answered
     # inline at accept like ``stats`` — mutations hit the journal, not
-    # the batch queue.  ``key_create`` takes the curve the key lives
+    # the request queue.  ``key_create`` takes the curve the key lives
     # on; the others resolve it from the stored record.
     _spec("key_create", CURVES, ["name"], ["seed"]),
     _spec("key_rotate", (), ["name"], ["seed"]),

@@ -1,53 +1,50 @@
-"""The asyncio front-end: batching, backpressure, and the worker pool.
+"""The asyncio serving process: admission, backpressure and inline
+execution.
 
 Request lifecycle (the "per-stage" pipeline DESIGN.md §8 documents, each
-stage metered).  One of these pipelines is a *shard*; ``--shards N``
-runs N of them behind one listening port (SO_REUSEPORT, or the
-port-per-shard redirector of :mod:`repro.serve.shard`), all of whose
-workers attach one shared comb-table store::
+stage metered).  One serving process runs the whole pipeline on its own
+event loop; ``--workers N`` with N > 1 runs N of them behind one
+listening port under the supervisor of :mod:`repro.serve.shard`::
 
-    listen port (SO_REUSEPORT / redirector)
-        |-- shard 0 ---------------------------------------------------.
-        |   accept -> decode -> [bounded queue] -> batcher -> pool -> reply
-        |                |            |               |          |
-        |            BadRequest   Overloaded     (curve, op)  workers attach
-        |            replies      load-shed      batching     the table store
-        |-- shard 1 ... (same pipeline, own event loop + pool)
+    listen port (one process, or SO_REUSEPORT / redirector for N > 1)
+      |-- process 0 -----------------------------------------------------.
+      |   accept -> decode -> admission -> [bounded queue] -> execute -> reply
+      |               |          |               |              |
+      |          BadRequest  auth, quota,    Overloaded   execute_request
+      |          replies     key ops, pin    load-shed    on this loop
+      |-- process 1 ... (same pipeline, own event loop and tables)
 
 * **Backpressure** is an explicit bounded :class:`asyncio.Queue`
   (``queue_depth``).  A full queue does not slow the reader down — it
   sheds: the client gets a typed ``Overloaded`` reply immediately and
   the ``serve_shed_total`` counter ticks.  Per-request deadlines are
-  honoured at dispatch time: a request whose budget elapsed while
-  queued is answered ``DeadlineExceeded`` without touching a worker.
-* **Batching**: the batcher drains whatever is queued, groups it by
-  ``(op, curve)`` — compatible requests share worker-side state such as
-  fixed-base tables and protocol objects — and dispatches chunks of at
-  most ``batch_max`` to the :class:`~concurrent.futures
-  .ProcessPoolExecutor`.  Batches from different groups run
-  concurrently across workers.
+  honoured at dequeue: a request whose budget elapsed while queued is
+  answered ``DeadlineExceeded`` without being executed.
+* **Execution** is inline: one executor task dequeues a request, runs
+  :func:`~repro.serve.worker.execute_request` against this process's
+  :class:`~repro.serve.worker.WorkerState` (suites, comb tables,
+  protocol objects, the named-key registry), resolves the reply and
+  yields to the loop before the next one.  Connection readers therefore
+  keep admitting and shedding between requests, and ``stats`` is
+  answered within one request's compute (about 1 ms for a keygen,
+  about 7 ms for a ``key_rotate``).
 * **Observability**: latency histograms (``serve_queue_us``,
-  ``serve_worker_us``, ``serve_latency_us``, and one
-  ``serve_op_latency_us_<op>_<curve>`` per op/curve pair) and
-  throughput/shed counters live in the process-wide registry;
-  worker-side counters merge in per batch reply (fork-safe by
-  construction — see :mod:`repro.obs.metrics`).  When a tracer is
-  installed each batch runs under a ``serve_batch`` span with
-  queue/worker timing attrs.
+  ``serve_worker_us`` — one request's execution — ``serve_latency_us``,
+  and one ``serve_op_latency_us_<op>_<curve>`` per op/curve pair) and
+  throughput/shed counters live in the process-wide registry.
 * **Distributed tracing** (``--tracing``, or a client-set ``trace``
-  field): traced requests carry their id through the queue, the batch
-  and the worker, whose per-request span shard ships back with the
-  batch reply; the server joins shard + stage timestamps into a
+  field): a traced request runs under its own tracer; the server joins
+  its span tree and the stage timestamps into a
   :class:`~repro.obs.assemble.RequestTrace` and feeds the
   :class:`~repro.obs.assemble.FlightRecorder` tail-sampling ring
   (``--slowlog`` capacity, ``--slowlog-out`` Chrome-trace dump).
 * **Operational endpoint**: the ``stats`` op is answered inline at
-  accept — queue depth, batch occupancy, shed counts, per-(op, curve)
-  latency percentiles, or the full registry as Prometheus text
-  exposition (``params.format = "prometheus"``) — so telemetry stays
-  reachable even when the bounded queue is shedding.  Under the shard
-  supervisor, ``params.scope = "cluster"`` aggregates counters across
-  every shard via the shared stats board, from any one shard's socket.
+  accept — queue depth, shed counts, per-(op, curve) latency
+  percentiles, or the full registry as Prometheus text exposition
+  (``params.format = "prometheus"``) — so telemetry stays reachable
+  even when the bounded queue is shedding.  Under the shard supervisor,
+  ``params.scope = "cluster"`` aggregates counters across every
+  serving process via the shared stats board, from any one socket.
 
 ``python -m repro serve`` is this module's CLI; the in-process
 :class:`EccServer` API is what the load generator, the benchmark
@@ -64,17 +61,15 @@ import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import trace as _trace
 from ..obs.assemble import FlightRecorder, RequestTrace
 from ..obs.metrics import METRICS, render_prometheus
 from ..obs.trace import new_trace_id
 from ..scalarmult.fixed_base import DEFAULT_WIDTH
 from . import protocol
-from .worker import execute_batch, init_worker
+from .worker import WorkerState, _execute_traced, execute_request
 
 __all__ = ["ServeConfig", "EccServer", "main"]
 
@@ -86,14 +81,12 @@ _SHED = METRICS.counter(
     "serve_shed_total", "requests shed with an Overloaded reply")
 _DEADLINE = METRICS.counter(
     "serve_deadline_total", "requests expired while queued")
-_BATCHES = METRICS.counter(
-    "serve_batches_total", "batches dispatched to the pool")
 _REPLIES = METRICS.counter(
     "serve_replies_total", "replies written back to clients")
 _QUEUE_US = METRICS.histogram(
-    "serve_queue_us", "time from enqueue to dispatch, microseconds")
+    "serve_queue_us", "time from enqueue to dequeue, microseconds")
 _WORKER_US = METRICS.histogram(
-    "serve_worker_us", "pool round-trip per batch, microseconds")
+    "serve_worker_us", "execution of one request, microseconds")
 _LATENCY_US = METRICS.histogram(
     "serve_latency_us", "enqueue-to-reply per request, microseconds")
 
@@ -104,25 +97,23 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral (the bound port lands in EccServer.port)
-    workers: int = 2
-    batch_max: int = 16
+    #: Serving processes: 1 = this process alone; N > 1 = the shard
+    #: supervisor of :mod:`repro.serve.shard` with N serving processes.
+    workers: int = 1
     queue_depth: int = 128
     #: Server-wide default deadline; None = requests wait indefinitely.
     deadline_ms: Optional[float] = None
     hardened: bool = False
     fixed_base: bool = True
     fb_width: int = DEFAULT_WIDTH
-    #: Curve suites whose fixed-base tables each worker pre-builds.
+    #: Curve suites whose fixed-base tables are built before serving
+    #: (by the supervisor before it forks, when there is one).
     warm_curves: Tuple[str, ...] = ("secp160r1",)
-    #: Attach pool workers to this shared comb-table store segment
-    #: (:mod:`repro.scalarmult.table_store`); None = each worker builds
-    #: its own tables (pre-shard behaviour).
-    store_name: Optional[str] = None
     #: This server's index under the shard supervisor (labels metrics
     #: and the ``stats`` reply); None = unsharded.
     shard: Optional[int] = None
-    #: Bind the listener with SO_REUSEPORT so sibling shard processes
-    #: can share one (host, port) accept queue.
+    #: Bind the listener with SO_REUSEPORT so sibling serving processes
+    #: can share one (host, port).
     reuse_port: bool = False
     #: Stamp a trace id on every accepted request (clients may also set
     #: their own ``trace`` field regardless of this switch).
@@ -134,7 +125,7 @@ class ServeConfig:
     #: Path of the named-key journal (:mod:`repro.serve.keys`).  None =
     #: the server materializes a private temp journal on start() and
     #: removes it on stop(); the shard supervisor sets one shared path
-    #: so every shard (and every pool worker) sees the same keys.
+    #: so every serving process sees the same keys.
     keys_journal: Optional[str] = None
     #: Strict-mode tenant config (``{name: {token, max_keys, rate,
     #: burst}}``, the parsed ``--tenants-file``); None = open tenancy
@@ -152,33 +143,30 @@ class _Pending:
     trace_id: Optional[str] = None
     t_accept_ns: int = 0
     t_dispatch_ns: Optional[int] = None
-    worker_pid: Optional[int] = None
-    worker_spans: Optional[List[Dict[str, Any]]] = None
-    batch_size: int = 0
+    spans: Optional[List[Dict[str, Any]]] = None
 
 
 class EccServer:
-    """One TCP service instance bound to one worker pool."""
+    """One TCP service instance executing its requests inline."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         self.port: Optional[int] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional[asyncio.Queue] = None
-        self._batcher: Optional[asyncio.Task] = None
-        self._dispatches: set = set()
+        self._executor: Optional[asyncio.Task] = None
         self._connections: set = set()
-        #: Last reported cumulative counters per worker pid (merge base).
-        self._worker_baselines: Dict[int, Dict[str, float]] = {}
+        #: Suites, comb tables, protocol objects and the key registry
+        #: every request executes against; built in start().
+        self.state: Optional[WorkerState] = None
         #: Tail-sampling ring of the slowest traced requests (--slowlog).
         self.recorder = FlightRecorder(self.config.slowlog)
         #: Cross-shard stats board (:class:`~repro.serve.shard
         #: .StatsBoard`), installed by the shard runtime before start();
         #: None on an unsharded server.
         self.board = None
-        #: Writable named-key registry (:mod:`repro.serve.keys`); built
-        #: in start() over ``config.keys_journal``.
+        #: Named-key registry (:mod:`repro.serve.keys`); built in start()
+        #: over ``config.keys_journal``.
         self.keys = None
         self._journal_owned = False  # temp journal to unlink on stop()
 
@@ -189,26 +177,21 @@ class EccServer:
 
         cfg = self.config
         if cfg.workers < 1:
-            raise ValueError("need at least one worker")
+            raise ValueError("need at least one serving process")
         if cfg.keys_journal is None:
-            # Standalone server: a private journal so keys still reach
-            # the pool workers (they attach it read-only).  The shard
-            # supervisor hands every shard one shared path instead.
+            # Standalone server: a private journal, removed on stop().
+            # The shard supervisor hands every process one shared path.
             fd, cfg.keys_journal = tempfile.mkstemp(
                 prefix="repro-keys-", suffix=".ndjson")
             os.close(fd)
             self._journal_owned = True
         self.keys = KeyRegistry(journal_path=cfg.keys_journal,
                                 tenants=cfg.tenants)
-        self._pool = ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=init_worker,
-            initargs=(cfg.hardened, cfg.fb_width, cfg.fixed_base,
-                      tuple(cfg.warm_curves), cfg.store_name,
-                      cfg.keys_journal),
-        )
+        self.state = WorkerState(hardened=cfg.hardened, fb_width=cfg.fb_width,
+                                 fixed_base=cfg.fixed_base, keys=self.keys)
+        self.state.warm(cfg.warm_curves)
         self._queue = asyncio.Queue(maxsize=cfg.queue_depth)
-        self._batcher = asyncio.create_task(self._batch_loop())
+        self._executor = asyncio.create_task(self._execute_loop())
         self._server = await asyncio.start_server(
             self._on_connection, cfg.host, cfg.port,
             reuse_port=cfg.reuse_port or None)
@@ -224,18 +207,10 @@ class EccServer:
         for writer in list(self._connections):
             writer.close()
         await asyncio.sleep(0)
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-        for task in list(self._dispatches):
-            task.cancel()
-        if self._dispatches:
-            await asyncio.gather(*self._dispatches, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        if self._executor is not None:
+            self._executor.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._executor
         if self.config.slowlog_out and len(self.recorder):
             written = self.recorder.dump(self.config.slowlog_out)
             print(f"slowlog: {written} slowest request trees -> "
@@ -302,8 +277,8 @@ class EccServer:
                     continue
                 if "tenant" in request:
                     # Tenant-scoped: authorize + rate-quota, answer key
-                    # lifecycle ops inline (journal writes, not worker
-                    # work), pin the key generation on named use.
+                    # lifecycle ops inline (journal writes), pin the key
+                    # generation on named use.
                     reply = self._keys_admission(request)
                     if reply is not None:
                         await write_reply(reply)
@@ -346,11 +321,11 @@ class EccServer:
         Authorizes the (tenant, token) pair, charges the tenant's rate
         bucket, then either answers a ``key_*`` lifecycle op inline
         (like ``stats`` — a journal write must not wait behind the
-        batch queue) or admits a named-key use: the key's **current
+        request queue) or admits a named-key use: the key's **current
         generation is pinned** into ``params.key_generation`` right
         here, so a rotation landing a microsecond later cannot retire
-        the key under an in-flight batch, and the ``token`` is stripped
-        so credentials never enter the batch payload.  Returns the
+        the key under a queued request, and the ``token`` is stripped
+        so credentials never enter the queue.  Returns the
         reply to write immediately, or None for an admitted request
         that continues to the queue.
         """
@@ -414,9 +389,7 @@ class EccServer:
             t_accept_ns=pending.t_accept_ns,
             t_dispatch_ns=pending.t_dispatch_ns,
             t_reply_ns=time.perf_counter_ns(),
-            worker_pid=pending.worker_pid,
-            worker_spans=pending.worker_spans or [],
-            batch_size=pending.batch_size,
+            spans=pending.spans or [],
             status="ok" if reply.get("ok") else
                    reply.get("error", {}).get("type", "Internal"),
         ))
@@ -436,90 +409,34 @@ class EccServer:
             pass
         return 0
 
-    # -- batching + dispatch -------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Drain the queue, group by (op, curve), dispatch chunks."""
+    async def _execute_loop(self) -> None:
+        """Dequeue and execute one request at a time, yielding to the
+        loop after each so readers keep admitting and shedding."""
         while True:
-            items = [await self._queue.get()]
-            while True:
-                try:
-                    items.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            groups: Dict[Tuple[str, Optional[str]], List[_Pending]] = {}
-            for item in items:
-                key = (item.request["op"], item.request.get("curve"))
-                groups.setdefault(key, []).append(item)
-            for group in groups.values():
-                for i in range(0, len(group), self.config.batch_max):
-                    chunk = group[i:i + self.config.batch_max]
-                    task = asyncio.create_task(self._dispatch(chunk))
-                    self._dispatches.add(task)
-                    task.add_done_callback(self._dispatches.discard)
+            self._execute(await self._queue.get())
+            await asyncio.sleep(0)
 
-    async def _dispatch(self, chunk: List[_Pending]) -> None:
+    def _execute(self, item: _Pending) -> None:
         now = time.perf_counter()
-        now_ns = time.perf_counter_ns()
-        live: List[_Pending] = []
-        for item in chunk:
-            _QUEUE_US.observe((now - item.t_enqueue) * 1e6)
-            if item.deadline_s is not None and now > item.deadline_s:
-                _DEADLINE.inc()
-                item.future.set_result(protocol.error_reply(
-                    item.request["id"], "DeadlineExceeded",
-                    "deadline elapsed while queued"))
-            else:
-                if item.trace_id is not None:
-                    item.t_dispatch_ns = now_ns
-                live.append(item)
-        if not live:
+        _QUEUE_US.observe((now - item.t_enqueue) * 1e6)
+        if item.future.done():
+            return  # the connection went away while this was queued
+        if item.deadline_s is not None and now > item.deadline_s:
+            _DEADLINE.inc()
+            item.future.set_result(protocol.error_reply(
+                item.request["id"], "DeadlineExceeded",
+                "deadline elapsed while queued"))
             return
-        for item in live:
-            item.batch_size = len(live)
-        _BATCHES.inc()
-        payload = [item.request for item in live]
-        op, curve = live[0].request["op"], live[0].request.get("curve")
-        tracer = _trace.CURRENT
-        span = tracer.start("serve_batch", kind="serve", op=op,
-                            curve=curve, batch=len(live)) if tracer else None
-        t0 = time.perf_counter()
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, execute_batch, payload)
-        except Exception as exc:
-            for item in live:
-                if not item.future.done():
-                    item.future.set_result(protocol.error_reply(
-                        item.request["id"], "Internal",
-                        f"worker pool failure: {type(exc).__name__}: {exc}"))
-            return
-        finally:
-            if tracer is not None and span is not None:
-                tracer.end(span)
-        _WORKER_US.observe((time.perf_counter() - t0) * 1e6)
-        self._merge_worker_metrics(result["pid"], result["metrics"])
-        shards = result.get("spans") or [None] * len(live)
-        for item, reply, shard in zip(live, result["replies"], shards):
-            if item.trace_id is not None:
-                item.worker_pid = result["pid"]
-                item.worker_spans = shard
-            if not item.future.done():
-                item.future.set_result(reply)
-
-    def _merge_worker_metrics(self, pid: int,
-                              counters: Dict[str, float]) -> None:
-        """Fold a worker's cumulative counters in as deltas vs the last
-        report from that pid (worker restarts re-baseline cleanly)."""
-        baseline = self._worker_baselines.get(pid, {})
-        deltas = {}
-        for name, value in counters.items():
-            delta = value - baseline.get(name, 0)
-            if delta < 0:  # restarted worker reusing a pid: re-baseline
-                delta = value
-            deltas[name] = delta
-        METRICS.merge_counters(deltas)
-        self._worker_baselines[pid] = counters
+        if item.trace_id is None:
+            reply = execute_request(item.request, self.state)
+        else:
+            item.t_dispatch_ns = time.perf_counter_ns()
+            reply, item.spans = _execute_traced(item.request, self.state,
+                                                item.trace_id)
+        _WORKER_US.observe((time.perf_counter() - now) * 1e6)
+        item.future.set_result(reply)
 
     # -- introspection -------------------------------------------------------
 
@@ -532,7 +449,7 @@ class EccServer:
     def stats_result(self, params: Optional[Dict[str, Any]] = None
                      ) -> Dict[str, Any]:
         """The ``stats`` op's result object (protocol schema in
-        :mod:`repro.serve.protocol`): live queue/batch state plus the
+        :mod:`repro.serve.protocol`): live queue state plus the
         per-(op, curve) latency percentiles, or the whole registry in
         Prometheus text exposition with ``format="prometheus"``.
 
@@ -566,8 +483,6 @@ class EccServer:
         counters = {name: value
                     for name, value in METRICS.counters_snapshot().items()
                     if name.startswith(("serve_", "fixed_base_"))}
-        batches = counters.get("serve_batches_total", 0)
-        executed = counters.get("serve_worker_requests_total", 0)
         return {
             "format": "json",
             "scope": "shard",
@@ -575,8 +490,6 @@ class EccServer:
             "pid": os.getpid(),
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "queue_capacity": self.config.queue_depth,
-            "batch_occupancy": round(executed / batches, 3) if batches
-            else 0.0,
             "counters": counters,
             "histograms": METRICS.histogram_summaries(prefix="serve_"),
             "slowlog": {"capacity": self.recorder.capacity,
@@ -642,13 +555,12 @@ async def _serve_forever(config: ServeConfig) -> int:
     server = EccServer(config)
     await server.start()
     print(f"repro.serve listening on {config.host}:{server.port} "
-          f"({config.workers} workers, batch<={config.batch_max}, "
-          f"queue_depth={config.queue_depth})", flush=True)
+          f"(1 process, queue_depth={config.queue_depth})", flush=True)
     loop = asyncio.get_running_loop()
     forever = asyncio.ensure_future(server._server.serve_forever())
-    # SIGTERM must drain through stop() too, else the pool workers are
-    # orphaned holding inherited fds (SIGINT already unwinds via
-    # KeyboardInterrupt -> asyncio.run cancellation).
+    # SIGTERM drains through stop() too (slowlog dump, temp journal
+    # removal); SIGINT already unwinds via KeyboardInterrupt ->
+    # asyncio.run cancellation.
     with contextlib.suppress(NotImplementedError):
         loop.add_signal_handler(signal.SIGTERM, forever.cancel)
     try:
@@ -665,32 +577,24 @@ async def _serve_forever(config: ServeConfig) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="Batched multi-worker ECC service over "
-                    "newline-delimited JSON / TCP.",
+        description="ECC service over newline-delimited JSON / TCP.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=9477,
                         help="TCP port (default 9477; 0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes in the pool (per shard "
-                             "when --shards > 1)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="accept-loop server processes sharing the "
-                             "listening port (1 = single process; N > 1 "
-                             "starts the shard supervisor with a shared "
-                             "comb-table store)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="serving processes, each executing its "
+                             "requests inline (1 = this process alone; "
+                             "N > 1 starts the supervisor: one port, "
+                             "respawn, cluster stats)")
     parser.add_argument("--no-reuseport", action="store_true",
-                        help="with --shards: force the port-per-shard "
-                             "supervisor + round-robin redirector even "
-                             "where SO_REUSEPORT is available")
-    parser.add_argument("--no-store", action="store_true",
-                        help="with --shards: skip the shared comb-table "
-                             "store (each worker builds its own tables)")
-    parser.add_argument("--batch-max", type=int, default=16,
-                        help="max requests per dispatched batch")
+                        help="with --workers > 1: force the port-per-"
+                             "process supervisor + round-robin redirector "
+                             "even where SO_REUSEPORT is available")
     parser.add_argument("--queue-depth", type=int, default=128,
-                        help="bounded queue size; beyond it requests are "
-                             "shed with a typed Overloaded reply")
+                        help="bounded queue size per process; beyond it "
+                             "requests are shed with a typed Overloaded "
+                             "reply")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="server-wide default per-request deadline")
     parser.add_argument("--hardened", action="store_true",
@@ -701,12 +605,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fb-width", type=int, default=DEFAULT_WIDTH,
                         help="comb window width in bits")
     parser.add_argument("--warm", default="secp160r1",
-                        help="comma-separated curves whose tables each "
-                             "worker pre-builds ('' = none)")
+                        help="comma-separated curves whose tables are "
+                             "built before serving ('' = none)")
     parser.add_argument("--tracing", action="store_true",
-                        help="stamp a trace id on every request, collect "
-                             "worker span shards and keep the slowest "
-                             "request trees in the flight recorder")
+                        help="stamp a trace id on every request, record "
+                             "its span tree and keep the slowest request "
+                             "trees in the flight recorder")
     parser.add_argument("--slowlog", type=int, default=64,
                         help="flight-recorder capacity: N slowest traced "
                              "requests retained (default 64)")
@@ -728,8 +632,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown curve {curve!r} in --warm")
     if args.slowlog < 1:
         parser.error("--slowlog must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     tenants = None
     if args.tenants_file is not None:
         import json
@@ -749,19 +653,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "objects")
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        batch_max=args.batch_max, queue_depth=args.queue_depth,
+        queue_depth=args.queue_depth,
         deadline_ms=args.deadline_ms, hardened=args.hardened,
         fixed_base=not args.no_fixed_base, fb_width=args.fb_width,
         warm_curves=warm, tracing=args.tracing, slowlog=args.slowlog,
         slowlog_out=args.slowlog_out, keys_journal=args.keys_journal,
         tenants=tenants,
     )
-    if args.shards > 1:
+    if args.workers > 1:
         from .shard import run_cluster
 
-        return run_cluster(config, shards=args.shards,
-                           reuseport=False if args.no_reuseport else None,
-                           store=not args.no_store)
+        return run_cluster(config,
+                           reuseport=False if args.no_reuseport else None)
     try:
         return asyncio.run(_serve_forever(config))
     except KeyboardInterrupt:

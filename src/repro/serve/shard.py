@@ -1,20 +1,19 @@
-"""Scale-out serving: N shard processes behind one listening port.
+"""Scale-out serving: N serving processes behind one listening port.
 
-``python -m repro serve --shards N`` (and the loadgen's ``--shards``)
-runs through this module.  The **supervisor** process:
+``python -m repro serve --workers N`` with N > 1 (and the loadgen's
+``--workers N``) runs through this module.  The **supervisor** process:
 
-1. builds the warm curves' comb tables once and serializes them into a
-   shared-memory :class:`~repro.scalarmult.table_store.TableStore`
-   (then clears its own in-process cache, so nothing is inherited
-   copy-on-write — children *must* attach the store to be fast);
+1. builds the warm curves' comb tables into its process-wide
+   :data:`~repro.scalarmult.fixed_base.TABLE_CACHE` before it forks and
+   keeps them there, so every serving process — respawned ones too —
+   inherits them copy-on-write instead of precomputing;
 2. creates a :class:`StatsBoard` — one crc-framed shared-memory slot
-   per shard that each shard periodically publishes its stats payload
-   into, which is what lets any single shard answer ``stats`` with
-   ``scope="cluster"``;
-3. forks N **shard** processes, each running its own event loop with a
-   full :class:`~repro.serve.server.EccServer` (accept loop, bounded
-   queue, batcher, worker pool — the workers attach the table store
-   read-only via the pool initializer);
+   per serving process that each one periodically publishes its stats
+   payload into, which is what lets any single process answer
+   ``stats`` with ``scope="cluster"``;
+3. forks N **serving processes** (shards), each running its own event
+   loop with a full :class:`~repro.serve.server.EccServer` (accept
+   loop, admission, bounded queue, inline execution);
 4. monitors the children and **respawns** any shard that dies, without
    the listening port ever going away.
 
@@ -34,7 +33,8 @@ Two ingress modes:
 
 Each shard stamps ``shard="<i>"`` as a registry-wide metric label
 (:meth:`~repro.obs.metrics.MetricsRegistry.set_label`), so per-shard
-Prometheus scrapes stay distinguishable after aggregation.
+Prometheus scrapes stay distinguishable after aggregation.  Token
+buckets and key quotas are per serving process (docs/tenancy.md).
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional
 
 from ..obs.metrics import METRICS
-from ..scalarmult.fixed_base import TABLE_CACHE
-from ..scalarmult.table_store import TableStore, TableStoreError, \
-    _untrack, build_store
 from .server import EccServer, ServeConfig
+from .worker import WorkerState
 
 __all__ = [
     "PUBLISH_INTERVAL",
@@ -136,16 +134,15 @@ class StatsBoard:
     @classmethod
     def attach(cls, name: str) -> "StatsBoard":
         shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
         if shm.size < _BOARD_HEADER.size:
             shm.close()
-            raise TableStoreError(f"segment {name!r} is too short for a "
-                                  "stats board")
+            raise ValueError(f"segment {name!r} is too short for a "
+                             "stats board")
         magic, slots, slot_size = _BOARD_HEADER.unpack_from(shm.buf, 0)
         if magic != _BOARD_MAGIC \
                 or shm.size < _BOARD_HEADER.size + slots * slot_size:
             shm.close()
-            raise TableStoreError(f"segment {name!r} is not a stats board")
+            raise ValueError(f"segment {name!r} is not a stats board")
         return cls(shm, slots, slot_size, owner=False)
 
     def _slot_offset(self, index: int) -> int:
@@ -204,7 +201,7 @@ class StatsBoard:
 
     def unlink(self) -> None:
         if not self._owner:
-            raise TableStoreError("only the creating process may unlink")
+            raise ValueError("only the creating process may unlink")
         self._shm.unlink()
 
 
@@ -214,6 +211,13 @@ class StatsBoard:
 def _shard_entry(index: int, config: ServeConfig, board_name: str,
                  conn) -> None:
     """Child-process entry point of one shard (picklable top-level)."""
+    # The fork copied the supervisor's signal setup: a SIGTERM handler
+    # that only writes to the supervisor loop's wakeup fd.  Restore the
+    # defaults so a signal that lands before this shard's own loop
+    # installs its handlers still ends the process.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(_shard_serve(index, config, board_name, conn))
     except KeyboardInterrupt:  # supervisor ^C reaches the process group
@@ -222,15 +226,14 @@ def _shard_entry(index: int, config: ServeConfig, board_name: str,
 
 async def _shard_serve(index: int, config: ServeConfig, board_name: str,
                        conn) -> None:
-    # Forked process reporting metrics: same doctrine as pool workers —
-    # drop the supervisor's inherited tallies, then take the shard
-    # identity label (reset keeps labels; workers forked off this
-    # shard's pool inherit it in turn).
+    # Forked process reporting metrics: drop the supervisor's inherited
+    # tallies (its table builds included), then take the shard identity
+    # label (reset keeps labels).
     METRICS.reset_for_fork()
     METRICS.set_label("shard", str(index))
     try:
         board: Optional[StatsBoard] = StatsBoard.attach(board_name)
-    except (TableStoreError, FileNotFoundError, OSError):
+    except (ValueError, OSError):
         board = None
     server = EccServer(config)
     server.board = board
@@ -256,14 +259,6 @@ async def _shard_serve(index: int, config: ServeConfig, board_name: str,
         with contextlib.suppress(asyncio.CancelledError):
             await publisher
         await server.stop()
-        # stop() leaves the pool draining (shutdown(wait=False)); join
-        # the worker processes *before* interpreter exit.  Racing the
-        # executor's atexit hook instead occasionally hangs the shard
-        # past the supervisor's grace period, whose SIGKILL then
-        # orphans the workers mid-pipe-read.
-        if server._pool is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: server._pool.shutdown(wait=True))
         if board is not None:
             board.close()
 
@@ -293,34 +288,33 @@ def _reserve_port(host: str, port: int) -> socket.socket:
 
 
 class ShardCluster:
-    """Supervisor of N shard server processes plus their shared state.
+    """Supervisor of ``config.workers`` serving processes plus their
+    shared state.
 
-    ``await start()`` brings up the store, the board, the shards and
-    (without SO_REUSEPORT) the redirector; :attr:`port` is then the one
-    public port.  ``await stop()`` tears everything down and unlinks
-    the shared segments.  The respawn monitor keeps :attr:`respawns`
-    and the ``serve_shard_respawns_total`` counter.
+    ``await start()`` warms the comb tables, creates the board, forks
+    the shards and (without SO_REUSEPORT) starts the redirector;
+    :attr:`port` is then the one public port.  ``await stop()`` tears
+    everything down and unlinks the board.  The respawn monitor keeps
+    :attr:`respawns` and the ``serve_shard_respawns_total`` counter.
     """
 
-    def __init__(self, shards: int, config: Optional[ServeConfig] = None,
-                 *, reuseport: Optional[bool] = None, store: bool = True,
-                 respawn: bool = True):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.shards = shards
+    def __init__(self, config: Optional[ServeConfig] = None,
+                 *, reuseport: Optional[bool] = None, respawn: bool = True):
         self.config = config or ServeConfig()
+        shards = self.config.workers
+        if shards < 1:
+            raise ValueError("need at least one serving process")
+        self.shards = shards
         self.reuseport = (reuseport_available() if reuseport is None
                           else reuseport)
         if self.reuseport and not reuseport_available():
             raise ValueError("SO_REUSEPORT is not available here; use "
                              "reuseport=False (port-per-shard mode)")
-        self.want_store = store
         self.respawn_enabled = respawn
         self.port: Optional[int] = None
         #: Live per-shard listening ports (== [port]*N with reuseport).
         self.shard_ports: List[Optional[int]] = [None] * shards
         self.respawns = 0
-        self.store: Optional[TableStore] = None
         self.board: Optional[StatsBoard] = None
         self._ctx = multiprocessing.get_context("fork")
         self._procs: List[Optional[multiprocessing.Process]] = \
@@ -338,24 +332,21 @@ class ShardCluster:
         cfg = self.config
         if cfg.keys_journal is None:
             # One shared named-key journal for the whole cluster: every
-            # shard (and every pool worker under it) replays the same
-            # append-only file, which is what makes a key created via
-            # shard 0 resolvable on shard N — and what lets a respawned
-            # shard pick its keys back up (DESIGN.md §8).
+            # shard replays and appends to the same file, which is what
+            # makes a key created via shard 0 resolvable on shard N —
+            # and what lets a respawned shard pick its keys back up
+            # (DESIGN.md §8).
             import tempfile
 
             fd, cfg.keys_journal = tempfile.mkstemp(
                 prefix="repro-keys-cluster-", suffix=".ndjson")
             os.close(fd)
             self._journal_owned = True
-        if self.want_store and cfg.fixed_base:
-            warm = [k for k in cfg.warm_curves if k != "montgomery"]
-            if warm:
-                self.store = build_store(warm, width=cfg.fb_width)
-                # Nothing inherited copy-on-write: the acceptance test
-                # for "workers attach read-only" is that their
-                # fixed_base_tables_built counters stay at zero.
-                TABLE_CACHE.clear()
+        # Built once here and kept: every fork, respawns included,
+        # inherits the tables copy-on-write (their
+        # fixed_base_tables_built counters stay at zero).
+        WorkerState(fixed_base=cfg.fixed_base,
+                    fb_width=cfg.fb_width).warm(cfg.warm_curves)
         self.board = StatsBoard.create(self.shards)
         if self.reuseport:
             self._reserve = _reserve_port(cfg.host, cfg.port)
@@ -395,9 +386,6 @@ class ShardCluster:
         if self.board is not None:
             self.board.close()
             self.board.unlink()
-        if self.store is not None:
-            with contextlib.suppress(FileNotFoundError):
-                self.store.unlink()
         if self._journal_owned and self.config.keys_journal:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.keys_journal)
@@ -417,7 +405,6 @@ class ShardCluster:
             port=self.port if self.reuseport else 0,
             reuse_port=self.reuseport,
             shard=index,
-            store_name=self.store.name if self.store is not None else None,
             # The supervisor owns slowlog dumping, not N clashing files.
             slowlog_out=None,
         )
@@ -428,9 +415,9 @@ class ShardCluster:
             target=_shard_entry, name=f"repro-shard-{index}",
             args=(index, self._shard_config(index), self.board.name,
                   send_conn),
-            # Not daemonic: each shard forks its own worker pool, which
-            # daemonic processes are forbidden to do.
-            daemon=False)
+            # Daemonic: if the supervisor exits without stop(), its
+            # multiprocessing atexit hook still ends every shard.
+            daemon=True)
         proc.start()
         send_conn.close()
         try:
@@ -531,23 +518,19 @@ class ShardCluster:
                     await w.wait_closed()
 
 
-def run_cluster(config: ServeConfig, shards: int,
-                reuseport: Optional[bool] = None,
-                store: bool = True) -> int:
-    """Run a shard cluster until SIGINT/SIGTERM (the ``python -m repro
-    serve --shards N`` path)."""
+def run_cluster(config: ServeConfig,
+                reuseport: Optional[bool] = None) -> int:
+    """Run a cluster of ``config.workers`` serving processes until
+    SIGINT/SIGTERM (the ``python -m repro serve --workers N`` path)."""
 
     async def _run() -> int:
-        cluster = ShardCluster(shards, config, reuseport=reuseport,
-                               store=store)
+        cluster = ShardCluster(config, reuseport=reuseport)
         await cluster.start()
         mode = ("SO_REUSEPORT" if cluster.reuseport
                 else "port-per-shard redirector")
-        store_note = (f"table store {cluster.store.name}"
-                      if cluster.store is not None else "no table store")
-        print(f"repro.serve supervisor: {shards} shards on "
-              f"{config.host}:{cluster.port} ({mode}; {store_note}; "
-              f"{config.workers} workers per shard)", flush=True)
+        print(f"repro.serve supervisor listening on "
+              f"{config.host}:{cluster.port} ({cluster.shards} serving "
+              f"processes, {mode})", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         with contextlib.suppress(NotImplementedError):

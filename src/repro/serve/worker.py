@@ -1,31 +1,23 @@
-"""Worker-process side of the ECC service.
+"""Request execution for the ECC service.
 
-Each pool worker owns a :class:`WorkerState`: freshly constructed curve
-suites (so no field-operation counter is ever shared across processes),
-protocol objects wired to a fixed-base-aware scalar multiplier, cached
-RSA Montgomery engines, and — via :func:`init_worker` — a metrics
-registry isolated from the parent with :func:`~repro.obs.metrics
-.MetricsRegistry.reset_for_fork`.  Batches return their counter deltas
-alongside the replies and the server merges them into the parent
-registry (:meth:`~repro.obs.metrics.MetricsRegistry.merge_counters`),
-which is the fork-safe aggregation path documented in DESIGN.md §8.
+Every serving process owns one :class:`WorkerState`: freshly constructed
+curve suites, protocol objects wired to a fixed-base-aware scalar
+multiplier, cached RSA Montgomery engines, and the process's named-key
+registry.  :class:`~repro.serve.server.EccServer` calls
+:func:`execute_request` on its own event loop for each dequeued request
+(:func:`_execute_traced` for traced ones); the load generator's direct
+path and the test suite call it with no server at all.
 
 Every handler is **deterministic**: key generation derives scalars from
 the request's seed (HKDF-ish SHA-256 expansion), signatures use the
 RFC-6979-style nonces of :mod:`repro.protocols`, and nothing reads a
 TRNG — the property the load generator's byte-stable summaries and the
 serve determinism tests rely on.
-
-All functions at module top level are picklable pool entry points;
-:func:`execute_request` doubles as the in-process "direct" execution
-path (the load generator's single-request baseline and the test
-suite's pool-free harness).
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..curves.params import CurveSuite, make_suite
@@ -36,21 +28,15 @@ from ..obs.trace import Tracer, span_to_dict
 from ..protocols import Ecdsa, Rsa, RsaKeyPair, Schnorr, XOnlyEcdh
 from ..protocols.ecdh import FullPointEcdh, KeyPair
 from ..scalarmult import adapter_for, montgomery_ladder_x, scalar_mult_naf
-from ..scalarmult.fixed_base import (
-    DEFAULT_WIDTH,
-    TABLE_CACHE,
-    scalar_mult_fixed_base,
-)
+from ..scalarmult.fixed_base import DEFAULT_WIDTH, TABLE_CACHE
 from . import protocol
+from .keys import KeyRegistry
 from .protocol import ProtocolError, from_hex, point_param, to_hex
 
 __all__ = [
     "WorkerState",
     "derive_scalar",
-    "execute_batch",
     "execute_request",
-    "init_worker",
-    "worker_keys",
     "worker_state",
 ]
 
@@ -63,8 +49,6 @@ _REQUESTS = METRICS.counter(
     "serve_worker_requests_total", "requests executed by this worker")
 _ERRORS = METRICS.counter(
     "serve_worker_errors_total", "requests that produced an error reply")
-_BATCHES = METRICS.counter(
-    "serve_worker_batches_total", "batches executed by this worker")
 
 
 def derive_scalar(seed: str, order: Optional[int] = None,
@@ -84,57 +68,40 @@ def derive_scalar(seed: str, order: Optional[int] = None,
 
 
 class WorkerState:
-    """Per-process suites, protocol objects and fixed-base plumbing."""
+    """Per-process suites, protocol objects, fixed-base plumbing and the
+    named-key registry.
+
+    *keys* is the :class:`~repro.serve.keys.KeyRegistry` that named-key
+    ops resolve against and the ``key_*`` handlers mutate; the server
+    passes its journal-backed registry, and without one the state builds
+    a memory-only registry of its own (the server-free direct path).
+    """
 
     def __init__(self, hardened: bool = False, fb_width: int = DEFAULT_WIDTH,
-                 fixed_base: bool = True):
+                 fixed_base: bool = True,
+                 keys: Optional[KeyRegistry] = None):
         self.hardened = hardened
         self.fb_width = fb_width
         self.fixed_base = fixed_base
+        self.keys = keys if keys is not None else KeyRegistry()
         self._suites: Dict[str, CurveSuite] = {}
         self._protos: Dict[Any, Any] = {}
         self._rsa: Dict[int, Rsa] = {}
-        #: Field instances whose op counters this worker owns a share of,
-        #: keyed by object identity with the baseline seen at first
-        #: sight.  Suites created here start at a zero baseline; a comb
-        #: table inherited copy-on-write from the parent process carries
-        #: the parent's historical tallies on *its* field, so its
-        #: baseline is captured at adoption time — this worker reports
-        #: only ops it performed itself.
-        self._fields: Dict[int, Any] = {}
-        self._field_baselines: Dict[int, Dict[str, int]] = {}
-        self._field_reported: Dict[str, int] = {}
 
     # -- lazy construction ---------------------------------------------------
-
-    def _track_field(self, field, fresh: bool = False) -> None:
-        fid = id(field)
-        if fid in self._fields:
-            return
-        self._fields[fid] = field
-        snap = field.counter.snapshot()
-        self._field_baselines[fid] = (
-            dict.fromkeys(self._FIELD_OPS, 0) if fresh
-            else {op: snap[op] for op in self._FIELD_OPS})
 
     def suite(self, key: str) -> CurveSuite:
         suite = self._suites.get(key)
         if suite is None:
             suite = self._suites[key] = make_suite(key)
-            self._track_field(suite.field, fresh=True)
         return suite
 
     def fixed_table(self, key: str):
-        """The comb table for *key*'s base point (cached process-wide).
-
-        May hand back a table built by another process's suite (fork
-        inheritance); its field is adopted into the op accounting at its
-        current counter value.
-        """
+        """The comb table for *key*'s base point (cached process-wide,
+        so a table the shard supervisor built before forking is used
+        as inherited)."""
         suite = self.suite(key)
-        table = TABLE_CACHE.get(suite.curve, suite.base, width=self.fb_width)
-        self._track_field(table.curve.field)
-        return table
+        return TABLE_CACHE.get(suite.curve, suite.base, width=self.fb_width)
 
     def warm(self, curves) -> None:
         """Pre-build the fixed-base tables the workload will hit."""
@@ -202,100 +169,17 @@ class WorkerState:
                 RsaKeyPair(n=n, e=e, d=d, bits=n.bit_length()))
         return engine
 
-    # -- field-counter aggregation (fork-safe: all per-process) --------------
-
-    _FIELD_OPS = ("add", "sub", "mul", "sqr", "inv")
-
-    def field_ops_delta(self) -> Dict[str, int]:
-        """Field-op tallies accrued across this process's tracked fields
-        since the previous call (counters are per-field-instance and
-        therefore already fork-isolated; each field's adoption baseline
-        strips any history it carried in from the parent; this folds the
-        rest into one process-level number per op)."""
-        totals = dict.fromkeys(self._FIELD_OPS, 0)
-        for fid, field in self._fields.items():
-            snap = field.counter.snapshot()
-            base = self._field_baselines[fid]
-            for op in self._FIELD_OPS:
-                totals[op] += snap[op] - base[op]
-        delta = {op: totals[op] - self._field_reported.get(op, 0)
-                 for op in self._FIELD_OPS}
-        self._field_reported = totals
-        return delta
-
 
 _STATE: Optional[WorkerState] = None
-_KEYS = None  # the process's KeyRegistry (lazy; see worker_keys)
 
 
 def worker_state() -> WorkerState:
-    """The process's state, created on demand (pool or in-process use)."""
+    """The process's default state, created on demand (the state
+    :func:`execute_request` uses when the caller passes none)."""
     global _STATE
     if _STATE is None:
         _STATE = WorkerState()
     return _STATE
-
-
-def worker_keys():
-    """The process's named-key registry (:mod:`repro.serve.keys`).
-
-    A pool worker gets a **read-only** attach over the server's journal
-    from :func:`init_worker` — it resolves ``(tenant, name,
-    generation)`` to scalars itself, tailing the journal on a lookup
-    miss, so key material is never serialized into batch chunks.  On
-    the pool-free direct path this lazily builds a writable in-memory
-    registry instead, which is what makes the ``key_*`` handlers below
-    work without a server front-end.
-    """
-    global _KEYS
-    if _KEYS is None:
-        from .keys import KeyRegistry
-
-        _KEYS = KeyRegistry()
-    return _KEYS
-
-
-def init_worker(hardened: bool = False, fb_width: int = DEFAULT_WIDTH,
-                fixed_base: bool = True, warm_curves: tuple = (),
-                store_name: Optional[str] = None,
-                keys_journal: Optional[str] = None) -> None:
-    """Pool initializer: isolate inherited metrics, build fresh state.
-
-    Runs in the child process.  The inherited ``METRICS`` registry is
-    reset so the worker reports only its own deltas; the parent merges
-    them back per batch reply (never shared memory).
-
-    With *store_name*, the worker attaches the supervisor's shared
-    comb-table store read-only (:mod:`repro.scalarmult.table_store`)
-    before warming: warm tables deserialize from the segment instead of
-    precomputing, so ``fixed_base_tables_built`` stays flat however
-    many workers fork.  A missing or corrupt segment degrades to local
-    builds rather than killing the pool.
-
-    With *keys_journal*, the worker attaches the server's named-key
-    journal **read-only**: batched requests that reference a stored key
-    (``params.key``) are resolved in this process from the journal's
-    replayed state, never from secrets travelling in the batch payload.
-    """
-    global _STATE, _KEYS
-    METRICS.reset_for_fork()
-    if keys_journal is not None:
-        from .keys import KeyRegistry
-
-        _KEYS = KeyRegistry(journal_path=keys_journal, writable=False)
-    if store_name is not None:
-        from ..scalarmult.table_store import TableStore, TableStoreError
-
-        try:
-            TABLE_CACHE.attach_store(TableStore.attach(store_name))
-        except (TableStoreError, FileNotFoundError, OSError) as exc:
-            TABLE_CACHE.attach_store(None)
-            print(f"worker {os.getpid()}: table store {store_name!r} "
-                  f"unusable ({exc}); building tables locally",
-                  file=sys.stderr)
-    _STATE = WorkerState(hardened=hardened, fb_width=fb_width,
-                         fixed_base=fixed_base)
-    _STATE.warm(warm_curves)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -314,19 +198,17 @@ def _point_result(point) -> Dict[str, Any]:
                       "y": to_hex(point.y.to_int())}}
 
 
-def _secret_scalar(curve: Optional[str], params: Dict[str, Any],
-                   what: str = "private") -> int:
+def _secret_scalar(state: WorkerState, curve: Optional[str],
+                   params: Dict[str, Any], what: str = "private") -> int:
     """The op's secret scalar: inline hex, or a named-key resolution.
 
     ``params.key`` carries a stored key's name (the tenant was injected
     into the params by :func:`execute_request`; the server pinned
-    ``key_generation`` at admission).  The scalar comes out of this
-    process's registry — it was never on the wire or in the batch
-    chunk.
+    ``key_generation`` at admission).  The scalar comes out of the
+    state's registry — it was never on the wire.
     """
     if "key" in params:
-        registry = worker_keys()
-        ref = registry.resolve(params.get("tenant") or "",
+        ref = state.keys.resolve(params.get("tenant") or "",
                                params["key"],
                                params.get("key_generation"))
         if curve is not None and ref.curve != curve:
@@ -361,7 +243,7 @@ def _handle_keygen(state: WorkerState, curve: str,
 
 def _handle_ecdh(state: WorkerState, curve: str,
                  params: Dict[str, Any]) -> Dict[str, Any]:
-    private = _secret_scalar(curve, params)
+    private = _secret_scalar(state, curve, params)
     suite = state.suite(curve)
     if curve == "montgomery":
         from ..protocols.ecdh import XOnlyKeyPair
@@ -417,7 +299,7 @@ def _msg_bytes(params: Dict[str, Any]) -> bytes:
 def _handle_ecdsa_sign(state: WorkerState, curve: str,
                        params: Dict[str, Any]) -> Dict[str, Any]:
     signature = state.ecdsa(curve).sign(
-        _secret_scalar(curve, params), _msg_bytes(params))
+        _secret_scalar(state, curve, params), _msg_bytes(params))
     return {"r": to_hex(signature.r), "s": to_hex(signature.s)}
 
 
@@ -436,7 +318,7 @@ def _handle_ecdsa_verify(state: WorkerState, curve: str,
 def _handle_schnorr_sign(state: WorkerState, curve: str,
                          params: Dict[str, Any]) -> Dict[str, Any]:
     signature = state.schnorr(curve).sign(
-        _secret_scalar(curve, params), _msg_bytes(params))
+        _secret_scalar(state, curve, params), _msg_bytes(params))
     return {"e": to_hex(signature.challenge),
             "s": to_hex(signature.response)}
 
@@ -481,12 +363,12 @@ def _handle_rsa_verify(state: WorkerState, curve: Optional[str],
 
 def _handle_stats(state: WorkerState, curve: Optional[str],
                   params: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-local telemetry (the pool-free direct path's ``stats``).
+    """Process-local telemetry (the server-free direct path's ``stats``).
 
     A live :class:`~repro.serve.server.EccServer` intercepts ``stats``
-    at accept and answers with server-level queue/batch state; this
-    handler serves the same schema from a single process's registry so
-    ``--workers 0`` / in-process callers get a useful answer too.
+    at accept and answers with its queue state; this handler serves the
+    same schema from the process registry so ``--workers 0`` /
+    in-process callers get a useful answer too.
     """
     fmt = params.get("format", "json")
     scope = params.get("scope", "shard")
@@ -506,7 +388,6 @@ def _handle_stats(state: WorkerState, curve: Optional[str],
         "pid": os.getpid(),
         "queue_depth": 0,
         "queue_capacity": 0,
-        "batch_occupancy": 0.0,
         "counters": {k: v for k, v in METRICS.counters_snapshot().items()
                      if k.startswith(("serve_", "fixed_base_"))},
         "histograms": METRICS.histogram_summaries(prefix="serve_"),
@@ -518,31 +399,30 @@ def _handle_key_create(state: WorkerState, curve: str,
     """Named-key lifecycle, direct-path edition.
 
     A live :class:`~repro.serve.server.EccServer` answers the ``key_*``
-    ops inline at accept against its own writable registry (like
-    ``stats``); these handlers give the pool-free direct path the same
-    semantics against the process-local registry of
-    :func:`worker_keys`.
+    ops at admission (like ``stats``); these handlers give the
+    server-free direct path the same semantics against the state's
+    registry.
     """
-    return worker_keys().create(params.get("tenant") or "",
+    return state.keys.create(params.get("tenant") or "",
                                 params["name"], curve,
                                 params.get("seed"))
 
 
 def _handle_key_rotate(state: WorkerState, curve: Optional[str],
                        params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().rotate(params.get("tenant") or "",
+    return state.keys.rotate(params.get("tenant") or "",
                                 params["name"], params.get("seed"))
 
 
 def _handle_key_delete(state: WorkerState, curve: Optional[str],
                        params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().delete(params.get("tenant") or "",
+    return state.keys.delete(params.get("tenant") or "",
                                 params["name"])
 
 
 def _handle_key_info(state: WorkerState, curve: Optional[str],
                      params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().info(params.get("tenant") or "",
+    return state.keys.info(params.get("tenant") or "",
                               params["name"])
 
 
@@ -602,49 +482,14 @@ def _execute_traced(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Run one request under a fresh tracer; returns (reply, span dicts).
 
-    The root span is tagged with the inbound trace context and this
-    worker's pid; the spans PR 2 threaded through scalarmult / curves /
-    field nest underneath automatically, so the shard the server joins
+    The root span is tagged with the inbound trace context; the spans
+    instrumented through scalarmult / curves / field nest underneath
+    automatically, so the record the server joins
     (:mod:`repro.obs.assemble`) reaches down to the kernel level.
     """
     tracer = Tracer()
     with tracer:
         with tracer.span("worker", kind="serve", trace=trace_id,
-                         op=req["op"], curve=req.get("curve"),
-                         pid=os.getpid()):
+                         op=req["op"], curve=req.get("curve")):
             reply = execute_request(req, state)
     return reply, [span_to_dict(root) for root in tracer.roots]
-
-
-def execute_batch(requests: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Pool entry point: one batch in, replies + isolated metrics out.
-
-    The metrics field carries this worker's *cumulative* counter values;
-    the server keeps a per-worker baseline and merges only the delta, so
-    restarts and multiple pools aggregate correctly.  Requests carrying
-    a ``trace`` id additionally return their worker-side span shard in
-    the parallel ``spans`` list (``None`` for untraced requests — the
-    hot path pays one dict lookup).
-    """
-    state = worker_state()
-    _BATCHES.inc()
-    replies: List[Dict[str, Any]] = []
-    spans: List[Optional[List[Dict[str, Any]]]] = []
-    for req in requests:
-        trace_id = req.get("trace")
-        if trace_id is None:
-            replies.append(execute_request(req, state))
-            spans.append(None)
-        else:
-            reply, shard = _execute_traced(req, state, trace_id)
-            replies.append(reply)
-            spans.append(shard)
-    for op, delta in state.field_ops_delta().items():
-        if delta:
-            METRICS.counter(f"serve_field_{op}_total").inc(delta)
-    return {
-        "pid": os.getpid(),
-        "replies": replies,
-        "spans": spans,
-        "metrics": METRICS.counters_snapshot(),
-    }

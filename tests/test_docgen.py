@@ -41,12 +41,10 @@ class TestGeneration:
         assert "TaintTracker" in avr
         assert "repro.avr.taint" in avr
 
-    def test_serve_shard_and_table_store_are_documented(self):
+    def test_serve_shard_is_documented(self):
         pages = generate_all()
         assert "repro.serve.shard" in pages["serve.md"]
         assert "ShardCluster" in pages["serve.md"]
-        assert "repro.scalarmult.table_store" in pages["scalarmult.md"]
-        assert "TableStore" in pages["scalarmult.md"]
 
 
 class TestCoverageGate:

@@ -1,5 +1,5 @@
-"""Cross-process trace assembly: span-tree joins, Chrome lanes, and the
-tail-sampling flight recorder."""
+"""Trace assembly: span-tree joins, Chrome lanes, and the tail-sampling
+flight recorder."""
 
 import json
 
@@ -16,11 +16,11 @@ from repro.obs.export import validate_chrome
 from repro.obs.trace import Span, span_to_dict
 
 
-def _worker_shard(t0, t1, pid=5001, trace="ab" * 8):
+def _worker_spans(t0, t1, trace="ab" * 8):
     """A worker span with one kernel-level child, as span_to_dict data."""
     worker = Span("worker", kind="serve",
                   attrs={"trace": trace, "op": "keygen",
-                         "curve": "secp160r1", "pid": pid})
+                         "curve": "secp160r1"})
     worker.t0_ns, worker.t1_ns = t0, t1
     kernel = Span("scalar_mult_fixed_base", kind="scalarmult")
     kernel.t0_ns, kernel.t1_ns = t0 + 100, t1 - 100
@@ -29,14 +29,13 @@ def _worker_shard(t0, t1, pid=5001, trace="ab" * 8):
 
 
 def _record(trace_id="ab" * 8, accept=10_000, dispatch=12_000, reply=30_000,
-            worker_pid=5001, with_shard=True, **overrides):
+            server_pid=4000, with_spans=True, **overrides):
     kwargs = dict(
         trace_id=trace_id, req_id=1, op="keygen", curve="secp160r1",
-        server_pid=4000, t_accept_ns=accept, t_dispatch_ns=dispatch,
-        t_reply_ns=reply, worker_pid=worker_pid, batch_size=2,
-        worker_spans=[_worker_shard(dispatch + 500, reply - 500,
-                                    pid=worker_pid, trace=trace_id)]
-        if with_shard else [],
+        server_pid=server_pid, t_accept_ns=accept, t_dispatch_ns=dispatch,
+        t_reply_ns=reply,
+        spans=[_worker_spans(dispatch + 500, reply - 500, trace=trace_id)]
+        if with_spans else [],
     )
     kwargs.update(overrides)
     return RequestTrace(**kwargs)
@@ -51,7 +50,7 @@ class TestAssembleOne:
         names = [child.name for child in tree.children]
         assert names == ["queue", "worker"]
         worker = tree.children[1]
-        assert worker.attrs["pid"] == 5001
+        assert worker.attrs["op"] == "keygen"
         assert [c.name for c in worker.children] == [
             "scalar_mult_fixed_base"]
 
@@ -63,9 +62,9 @@ class TestAssembleOne:
         assert [c.name for c in tree.children] == ["request"]
 
     def test_children_clamped_into_parent_window(self):
-        # A worker shard whose stamps leak outside accept..reply must be
-        # clamped, never produce negative durations.
-        rec = _record(worker_spans=[_worker_shard(1_000, 99_000)])
+        # Spans whose stamps leak outside accept..reply must be clamped,
+        # never produce negative durations.
+        rec = _record(spans=[_worker_spans(1_000, 99_000)])
         tree = assemble_one(rec)
         worker = tree.children[1]
         assert worker.t0_ns >= tree.t0_ns
@@ -76,8 +75,7 @@ class TestAssembleOne:
         assert kernel.dur_ns >= 0
 
     def test_undispatched_record_has_no_queue_span(self):
-        rec = _record(dispatch=None, with_shard=False, worker_pid=None,
-                      status="Overloaded")
+        rec = _record(dispatch=None, with_spans=False, status="Overloaded")
         tree = assemble_one(rec)
         assert tree.children == []
         assert tree.attrs["status"] == "Overloaded"
@@ -91,28 +89,28 @@ class TestAssembleOne:
 class TestChromeExport:
     def test_one_lane_per_pid_and_valid_schema(self):
         records = [
-            _record(trace_id="aa" * 8, worker_pid=5001,
+            _record(trace_id="aa" * 8, server_pid=4000,
                     client_t0_ns=9_000, client_t1_ns=31_000),
-            _record(trace_id="bb" * 8, worker_pid=5002, accept=40_000,
+            _record(trace_id="bb" * 8, server_pid=4001, accept=40_000,
                     dispatch=41_000, reply=60_000),
         ]
-        records[1].worker_spans = [_worker_shard(
-            41_500, 59_500, pid=5002, trace="bb" * 8)]
         chrome = records_to_chrome(records)
         validate_chrome(chrome)
         lanes = chrome["metadata"]["lanes"]
-        # Client lane, server front-end lane, and one lane per worker.
+        # Client lane and one lane per serving process.
+        assert set(lanes) == {"0", "4000", "4001"}
         assert lanes["0"] == "client"
-        assert lanes["4000"].startswith("serve-front")
-        assert lanes["5001"].startswith("worker[")
-        assert lanes["5002"].startswith("worker[")
-        worker_events = [e for e in chrome["traceEvents"]
-                        if e.get("ph") == "X" and e["name"] == "worker"]
-        assert {e["pid"] for e in worker_events} == {5001, 5002}
-        # Kernel children stay on their worker's lane.
-        kernel = [e for e in chrome["traceEvents"]
-                  if e["name"] == "scalar_mult_fixed_base"]
-        assert {e["pid"] for e in kernel} == {5001, 5002}
+        assert lanes["4000"].startswith("serve[")
+        assert lanes["4001"].startswith("serve[")
+        by_name = {}
+        for e in chrome["traceEvents"]:
+            if e.get("ph") == "X":
+                by_name.setdefault(e["name"], set()).add(e["pid"])
+        assert by_name["client"] == {0}
+        # The request, its execution and the kernel children all sit on
+        # the lane of the process that served them.
+        for name in ("request", "worker", "scalar_mult_fixed_base"):
+            assert by_name[name] == {4000, 4001}
 
     def test_timestamps_relative_and_nonnegative(self):
         chrome = records_to_chrome([_record()])
@@ -130,7 +128,7 @@ class TestFlightRecorder:
         ring = FlightRecorder(capacity=3)
         for i, dur in enumerate([50, 10, 90, 20, 70]):
             ring.record(_record(trace_id=f"{i:02d}" * 8, accept=0,
-                                dispatch=1, reply=dur, with_shard=False))
+                                dispatch=1, reply=dur, with_spans=False))
         assert ring.recorded == 5
         assert len(ring) == 3
         assert [r.dur_ns for r in ring.slowest()] == [90, 70, 50]
@@ -138,11 +136,11 @@ class TestFlightRecorder:
     def test_fast_request_does_not_evict(self):
         ring = FlightRecorder(capacity=2)
         ring.record(_record(trace_id="aa" * 8, accept=0, reply=100,
-                            with_shard=False))
+                            with_spans=False))
         ring.record(_record(trace_id="bb" * 8, accept=0, reply=200,
-                            with_shard=False))
+                            with_spans=False))
         ring.record(_record(trace_id="cc" * 8, accept=0, reply=1,
-                            with_shard=False))
+                            with_spans=False))
         assert {r.trace_id for r in ring.slowest()} == {"aa" * 8, "bb" * 8}
 
     def test_get_by_trace_id(self):

@@ -9,6 +9,7 @@ use through another, per-tenant cluster counters, forced respawn).
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -120,7 +121,7 @@ class TestKeyRegistry:
         assert rotated["generation"] == 2
         assert reg.resolve("alice", "signer").generation == 2
         assert reg.resolve("alice", "signer").private != gen1
-        # The admission pin of an in-flight batch still resolves.
+        # The admission pin of a queued request still resolves.
         assert reg.resolve("alice", "signer", generation=1).private == gen1
         with pytest.raises(ProtocolError, match="no generation"):
             reg.resolve("alice", "signer", generation=9)
@@ -172,7 +173,7 @@ class TestKeyRegistry:
         coordination."""
         path = str(tmp_path / "keys.ndjson")
         writer = KeyRegistry(journal_path=path)
-        reader = KeyRegistry(journal_path=path, writable=False)
+        reader = KeyRegistry(journal_path=path)
         writer.create("alice", "signer", "secp160r1")
         ref = reader.resolve("alice", "signer")  # miss -> tail -> hit
         assert ref.private == writer.resolve("alice", "signer").private
@@ -198,16 +199,89 @@ class TestKeyRegistry:
             fh.write(line[20:])
         assert reader.resolve("alice", "k2").private == 0x0F
 
-    def test_read_only_attach_refuses_mutations(self, tmp_path):
+
+
+def _racing(registry, sibling):
+    """Make *registry*'s next mutation start *sibling* on another thread
+    while it computes the new public key — the window in which a
+    lock-free sibling writer used to append.  Returns the started
+    threads (join them after the mutation)."""
+    threads = []
+    compute = registry._public_for
+
+    def slow_public_for(curve, private):
+        del registry._public_for  # one mutation only
+        thread = threading.Thread(target=sibling)
+        thread.start()
+        threads.append(thread)
+        thread.join(0.3)  # an unlocked sibling appends right here
+        return compute(curve, private)
+
+    registry._public_for = slow_public_for
+    return threads
+
+
+class TestJournalWriters:
+    """Two writable registries on one journal: sibling serving
+    processes, here on two threads."""
+
+    def test_stale_writer_cannot_create_an_existing_name(self, tmp_path):
         path = str(tmp_path / "keys.ndjson")
-        KeyRegistry(journal_path=path).create("alice", "k", "secp160r1")
-        attached = KeyRegistry(journal_path=path, writable=False)
-        attached.resolve("alice", "k")
-        for mutate in (lambda: attached.create("alice", "x", "secp160r1"),
-                       lambda: attached.rotate("alice", "k"),
-                       lambda: attached.delete("alice", "k")):
-            with pytest.raises(ProtocolError, match="read-only"):
-                mutate()
+        a = KeyRegistry(journal_path=path)
+        b = KeyRegistry(journal_path=path)  # stale from here on
+        a.create("alice", "k", "secp160r1", seed="a")
+        with pytest.raises(ProtocolError, match="already exists") as exc:
+            b.create("alice", "k", "secp160r1", seed="b")
+        assert exc.value.error_type == "BadRequest"
+        # Racing creates of one name: exactly one wins, the loser gets
+        # the typed error, and both registries hold one public key.
+        outcome = {}
+
+        def a_creates():
+            try:
+                outcome["a"] = a.create("alice", "r", "secp160r1", seed="a")
+            except ProtocolError as err:
+                outcome["a"] = err
+
+        threads = _racing(b, a_creates)
+        try:
+            outcome["b"] = b.create("alice", "r", "secp160r1", seed="b")
+        except ProtocolError as err:
+            outcome["b"] = err
+        for thread in threads:
+            thread.join(30)
+        errors = [v for v in outcome.values() if isinstance(v, Exception)]
+        assert len(outcome) == 2 and len(errors) == 1
+        assert errors[0].error_type == "BadRequest"
+        assert "already exists" in str(errors[0])
+        for name in ("k", "r"):
+            assert a.info("alice", name) == b.info("alice", name)
+            assert (a.resolve("alice", name).private
+                    == b.resolve("alice", name).private)
+
+    def test_interleaved_mutations_are_not_lost(self, tmp_path):
+        path = str(tmp_path / "keys.ndjson")
+        a = KeyRegistry(journal_path=path)
+        b = KeyRegistry(journal_path=path)
+        threads = _racing(
+            b, lambda: a.create("alice", "ka", "secp160r1", seed="a"))
+        b.create("alice", "kb", "secp160r1", seed="b")
+        for thread in threads:
+            thread.join(30)
+        # Each writer mutates the other's key, then every view, caught
+        # up with the file — and a fresh replay — holds all four.
+        a.rotate("alice", "kb")
+        b.rotate("alice", "ka")
+        fresh = KeyRegistry(journal_path=path)
+        for reg in (a, b, fresh):
+            reg.refresh()
+            for name in ("ka", "kb"):
+                assert reg.resolve("alice", name).generation == 2
+                assert reg.info("alice", name) == fresh.info("alice", name)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 4
+        assert all(json.loads(line) for line in lines)
 
 
 # -- tenancy and auth --------------------------------------------------------
@@ -324,8 +398,8 @@ async def _start(**overrides):
 
 class TestServedKeys:
     def test_named_sign_roundtrip_and_generation_pinning(self):
-        """The acceptance scenario at pool scale: create, sign by name
-        (the worker resolves the scalar from the journal), verify
+        """The acceptance scenario through the server: create, sign by
+        name (resolved from the server's registry), verify
         against the returned public key, rotate, and check that a
         pinned generation reproduces the pre-rotation signature while
         the unpinned path picks up the new one."""
@@ -443,7 +517,7 @@ class TestClusterKeys:
         per-tenant counters aggregate in cluster stats, and after shard
         0 is killed and respawned the key still resolves (journal
         replay)."""
-        config = ServeConfig(port=0, workers=1,
+        config = ServeConfig(port=0, workers=2,
                              warm_curves=("secp160r1",))
 
         def sync_ops(ports):
@@ -484,7 +558,7 @@ class TestClusterKeys:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with ShardCluster(2, config, reuseport=False) as cluster:
+            async with ShardCluster(config, reuseport=False) as cluster:
                 created, sig, verdict, wire = await loop.run_in_executor(
                     None, sync_ops, cluster.shard_ports)
                 stats = await loop.run_in_executor(

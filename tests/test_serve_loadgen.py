@@ -70,14 +70,14 @@ class TestSummary:
         reqs = build_requests(12, seed=7)
         direct, _ = run_direct(reqs, fixed_base=False, warm=())
         fixed, _ = run_direct(reqs, fixed_base=True)
-        served, _lat, _w = asyncio.run(run_served(reqs, workers=1))
+        served, _lat, _w = asyncio.run(run_served(reqs))
         assert summarize(reqs, direct) == summarize(reqs, fixed)
         assert summarize(reqs, direct) == summarize(reqs, served)
 
     def test_served_twice_identical(self):
         reqs = build_requests(10, seed=11)
-        one, _l1, _w1 = asyncio.run(run_served(reqs, workers=1))
-        two, _l2, _w2 = asyncio.run(run_served(reqs, workers=1))
+        one, _l1, _w1 = asyncio.run(run_served(reqs))
+        two, _l2, _w2 = asyncio.run(run_served(reqs))
         assert summarize(reqs, one) == summarize(reqs, two)
 
     def test_summary_is_canonical_jsonl(self):
@@ -94,12 +94,15 @@ class TestSummary:
 
 class TestBenchRecord:
     def test_serve_entries_validate(self):
-        entry = loadgen._bench_entry("pool4", 8, 0.5)
+        entry = loadgen._bench_entry("served", 8, 0.5)
         validate_entry(entry)
         assert entry["ips"] == pytest.approx(16.0)
+        # Records committed before the inline executor name pool legs.
+        validate_entry(dict(entry, engine="pool4",
+                            name="keygen/secp160r1/pool4"))
 
     def test_traced_engine_validates_and_carries_latency(self):
-        entry = loadgen._bench_entry("pool4_traced", 8, 0.5,
+        entry = loadgen._bench_entry("served_traced", 8, 0.5,
                                      latencies=[1.0, 2.0, 3.0, 10.0])
         validate_entry(entry)
         summary = entry["latency_ms"]
@@ -110,13 +113,13 @@ class TestBenchRecord:
     def test_traced_ratio_floor_enforced(self, capsys):
         record = {"speedups": {
             "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/pool4:direct": 3.0,
-            "keygen/secp160r1/pool4_traced:direct": 1.2,
-            "keygen/secp160r1/pool4_traced:pool4": 0.4,
+            "keygen/secp160r1/served:direct": 3.0,
+            "keygen/secp160r1/served_traced:direct": 1.2,
+            "keygen/secp160r1/served_traced:served": 0.4,
         }}
         assert loadgen.check_floors(record) == 1
         assert "traced/untraced" in capsys.readouterr().out
-        record["speedups"]["keygen/secp160r1/pool4_traced:pool4"] = 0.9
+        record["speedups"]["keygen/secp160r1/served_traced:served"] = 0.9
         assert loadgen.check_floors(record) == 0
 
     def test_shard_entries_validate(self):
@@ -128,7 +131,7 @@ class TestBenchRecord:
     def test_shard_floor_multicore(self, capsys):
         record = {"speedups": {
             "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/pool2:direct": 3.0,
+            "keygen/secp160r1/served:direct": 3.0,
             "mixed/secp160r1/shard2:shard1": 1.8,
         }}
         assert loadgen.check_floors(record, cpus=4) == 0
@@ -142,7 +145,7 @@ class TestBenchRecord:
         bound applies (REPRO_SHARD_SINGLE_CORE_MIN, default 0.6)."""
         record = {"speedups": {
             "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/pool2:direct": 3.0,
+            "keygen/secp160r1/served:direct": 3.0,
             "mixed/secp160r1/shard2:shard1": 1.01,
         }}
         assert loadgen.check_floors(record, cpus=1) == 0
@@ -154,24 +157,24 @@ class TestBenchRecord:
     def test_records_without_shard_legs_skip_the_gate(self):
         record = {"speedups": {
             "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/pool2:direct": 3.0,
+            "keygen/secp160r1/served:direct": 3.0,
         }}
         assert loadgen.check_floors(record, cpus=1) == 0
 
     def test_bad_serve_entries_rejected(self):
-        entry = loadgen._bench_entry("pool4", 8, 0.5)
+        entry = loadgen._bench_entry("served", 8, 0.5)
         with pytest.raises(ValueError, match="engine"):
             validate_entry(dict(entry, engine="warp9",
                                 name="keygen/secp160r1/warp9"))
         with pytest.raises(ValueError, match="curve"):
             validate_entry(dict(entry, mode="p256",
-                                name="keygen/p256/pool4"))
+                                name="keygen/p256/served"))
         with pytest.raises(ValueError, match="cycle"):
             validate_entry(dict(entry, cycles_per_run=3))
 
     @pytest.mark.bench
     def test_bench_record_and_floors(self):
-        record = loadgen.run_bench_serve(smoke=True, pools=(1,))
+        record = loadgen.run_bench_serve(smoke=True)
         validate_run_record(record)
         assert loadgen.check_floors(record) == 0
 

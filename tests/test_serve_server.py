@@ -1,5 +1,5 @@
-"""End-to-end serve tests: TCP roundtrips, batching, backpressure,
-deadlines, and the fork-safe metric merge.
+"""End-to-end serve tests: TCP roundtrips, backpressure, fairness of
+the inline executor, deadlines, and the serve metrics.
 
 No pytest-asyncio in the image: every test drives its own event loop
 through ``asyncio.run``.
@@ -175,34 +175,50 @@ class TestErrorPaths:
         assert second["error"]["type"] == "BadRequest"
 
     def test_overloaded_shed_is_typed(self):
+        """Inline fairness: one connection floods past ``queue_depth``
+        through the real executor (nothing stalled by hand).  The
+        overflow gets typed ``Overloaded`` replies, and a ``stats``
+        request on a second connection is answered while the flood is
+        still queued — the executor yields after every request."""
+        depth, flood = 16, 48
+
         async def scenario():
-            server = await _start(queue_depth=1)
-            # Stall the batcher so the bounded queue genuinely fills.
-            server._batcher.cancel()
+            server = await _start(queue_depth=depth)
             try:
-                await server._batcher
-            except asyncio.CancelledError:
-                pass
-            try:
-                client = await AsyncServeClient.connect(port=server.port)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                side = await AsyncServeClient.connect(port=server.port)
                 try:
-                    first = asyncio.ensure_future(client.call_raw_one(
-                        {"id": 1, "op": "keygen", "curve": "secp160r1",
-                         "params": {"seed": "a"}}))
-                    await asyncio.sleep(0.05)  # let it occupy the queue
-                    shed = await client.call_raw_one(
-                        {"id": 2, "op": "keygen", "curve": "secp160r1",
-                         "params": {"seed": "b"}})
-                    first.cancel()
+                    writer.write(b"".join(
+                        json.dumps({"id": i + 1, "op": "keygen",
+                                    "curve": "secp160r1",
+                                    "params": {"seed": f"{SEED}:{i}"}}
+                                   ).encode() + b"\n"
+                        for i in range(flood)))
+                    await writer.drain()
+                    # Sheds are written at admission, so the first reply
+                    # back is one: the whole flood has been admitted.
+                    replies = [json.loads(await reader.readline())]
+                    stats = await side.stats()
+                    while len(replies) < flood:
+                        replies.append(json.loads(await reader.readline()))
                 finally:
-                    await client.close()
-                return shed
+                    await side.close()
+                    writer.close()
+                    await writer.wait_closed()
+                return replies, stats
             finally:
                 await server.stop()
 
-        shed = run(scenario())
-        assert shed["ok"] is False
-        assert shed["error"]["type"] == "Overloaded"
+        replies, stats = run(scenario())
+        assert sorted(r["id"] for r in replies) == list(range(1, flood + 1))
+        shed = [r for r in replies if not r["ok"]]
+        assert shed and all(r["error"]["type"] == "Overloaded"
+                            for r in shed)
+        assert flood - len(shed) >= depth  # the queue itself was filled
+        assert replies[0] in shed
+        # Answered mid-flood: the queue still held admitted requests.
+        assert stats["queue_depth"] >= 1
 
     def test_expired_deadline_rejected_before_work(self):
         async def scenario():
@@ -228,8 +244,9 @@ class TestErrorPaths:
 
 
 class TestObservability:
-    def test_worker_metrics_merge_into_parent(self):
+    def test_execution_metrics_land_in_the_server_registry(self):
         before = METRICS.counters_snapshot()
+        executions = METRICS.snapshot().get("serve_worker_us_count", 0)
 
         async def scenario():
             server = await _start()
@@ -252,38 +269,13 @@ class TestObservability:
         def grew(name):
             return after.get(name, 0) - before.get(name, 0)
 
-        # Parent-side pipeline counters.
+        # Pipeline and execution counters share one process registry.
         assert grew("serve_requests_total") >= 6
         assert grew("serve_replies_total") >= 6
-        assert grew("serve_batches_total") >= 1
-        # Worker-side counters, visible only through the per-batch merge.
         assert grew("serve_worker_requests_total") >= 6
-        assert grew("serve_field_mul_total") > 0
+        assert grew("serve_worker_op_keygen_total") >= 6
+        # One serve_worker_us observation per executed request.
+        assert stats["serve_worker_us_count"] - executions >= 6
         # Histograms flattened into the stats snapshot.
         assert stats["serve_latency_us_count"] >= 6
         assert stats["serve_latency_us_p99"] > 0
-        assert METRICS.check_fork_isolation()
-
-    def test_batching_groups_compatible_requests(self):
-        async def scenario():
-            server = await _start(batch_max=64)
-            try:
-                client = await AsyncServeClient.connect(port=server.port)
-                before = METRICS.counters_snapshot()
-                try:
-                    await client.call_raw(
-                        [{"id": i + 1, "op": "keygen", "curve": "secp160r1",
-                          "params": {"seed": f"{SEED}:{i}"}}
-                         for i in range(12)])
-                finally:
-                    await client.close()
-                after = METRICS.counters_snapshot()
-                return (after["serve_batches_total"]
-                        - before.get("serve_batches_total", 0))
-            finally:
-                await server.stop()
-
-        batches = run(scenario())
-        # 12 pipelined compatible requests must not take 12 round-trips;
-        # the first may dispatch alone before the rest arrive.
-        assert 1 <= batches < 12

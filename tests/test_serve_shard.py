@@ -1,13 +1,18 @@
 """The scale-out layer: stats board, shard cluster, respawn, cluster
-stats aggregation, and the shared-store acceptance property.
+stats aggregation, copy-on-write table inheritance, and process
+hygiene of the ``serve --workers N`` supervisor.
 
 No pytest-asyncio in the image: every test drives its own event loop
-through ``asyncio.run``.  Cluster tests fork real shard processes
-(each with a 1-worker pool), so they are the slowest tests in the
-serving suite — kept few and multi-purpose on purpose.
+through ``asyncio.run``.  Cluster tests fork real serving processes,
+so they are the slowest tests in the serving suite — kept few and
+multi-purpose on purpose.
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -28,7 +33,7 @@ def run(coro):
 
 
 def _config(**overrides):
-    defaults = dict(port=0, workers=1, warm_curves=("secp160r1",))
+    defaults = dict(port=0, workers=2, warm_curves=("secp160r1",))
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -144,13 +149,12 @@ class TestShardCluster:
         """One multi-purpose scenario over a 2-shard redirector-mode
         cluster: requests through the public port and through each
         shard's direct port, deterministic results across shards,
-        cluster-scope stats aggregation, and the shared-store
-        acceptance property (workers load, never build)."""
+        cluster-scope stats aggregation, and copy-on-write table
+        inheritance (shards use the supervisor's tables, never build)."""
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with ShardCluster(2, _config(),
-                                    reuseport=False) as cluster:
-                assert cluster.port and cluster.store is not None
+            async with ShardCluster(_config(), reuseport=False) as cluster:
+                assert cluster.port
                 assert len(cluster.shard_ports) == 2
                 # Through the redirector (round-robin placement).
                 via_public = [
@@ -177,26 +181,20 @@ class TestShardCluster:
                      for p in stats["shards"]]
         assert all(n >= 1 for n in per_shard)
         assert stats["counters"]["serve_requests_total"] == sum(per_shard)
-        # The tentpole's acceptance signal: every worker attached the
-        # supervisor's store read-only — tables were *loaded*, and the
-        # build counter stays flat (zero) across the whole cluster.
+        # The supervisor built the warm table before forking: every
+        # shard found it in its inherited cache, and the build counter
+        # stays flat (zero) across the whole cluster.
         assert stats["counters"].get("fixed_base_tables_built", 0) == 0
-        assert stats["counters"].get("fixed_base_tables_loaded", 0) >= 2
-        assert stats["counters"].get("fixed_base_store_errors", 0) == 0
+        assert all(p["counters"].get("fixed_base_cache_hits", 0) >= 1
+                   for p in stats["shards"])
 
     def test_dead_shard_respawns_and_port_survives(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with ShardCluster(2, _config(),
-                                    reuseport=False) as cluster:
+            async with ShardCluster(_config(), reuseport=False) as cluster:
                 await loop.run_in_executor(None, _keygen, cluster.port)
                 victim = cluster._procs[0]
-                # SIGTERM, not SIGKILL: the shard dies through its
-                # graceful path (joining its pool worker), so the test
-                # does not leak an orphaned worker stuck on the call
-                # pipe — the respawn monitor only checks liveness, so
-                # the supervisor behaviour under test is identical.
-                victim.terminate()
+                victim.kill()
                 deadline = time.monotonic() + 15.0
                 while time.monotonic() < deadline:
                     proc = cluster._procs[0]
@@ -221,8 +219,7 @@ class TestShardCluster:
     def test_reuseport_cluster_smoke(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with ShardCluster(2, _config(),
-                                    reuseport=True) as cluster:
+            async with ShardCluster(_config(), reuseport=True) as cluster:
                 assert cluster.port > 0
                 # Every shard binds the same public port.
                 assert cluster.shard_ports == [cluster.port] * 2
@@ -233,21 +230,110 @@ class TestShardCluster:
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="at least one"):
-            ShardCluster(0)
+            ShardCluster(_config(workers=0))
 
-    def test_no_store_mode_builds_locally(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            async with ShardCluster(1, _config(), reuseport=False,
-                                    store=False) as cluster:
-                assert cluster.store is None
-                await loop.run_in_executor(None, _keygen, cluster.port)
-                return await loop.run_in_executor(
-                    None, lambda: _cluster_stats(
-                        cluster.shard_ports[0], want_shards=1,
-                        min_per_shard=1))
 
-        stats = run(scenario())
-        # Without the store the worker builds its warm table itself.
-        assert stats["counters"].get("fixed_base_tables_built", 0) >= 1
-        assert stats["counters"].get("fixed_base_tables_loaded", 0) == 0
+# -- the supervisor process --------------------------------------------------
+
+
+def _children(pid):
+    """Direct child pids of *pid* (Linux procfs)."""
+    path = f"/proc/{pid}/task/{pid}/children"
+    try:
+        with open(path, encoding="ascii") as fh:
+            return {int(tok) for tok in fh.read().split()}
+    except FileNotFoundError:
+        return set()
+
+
+def _shards(pid):
+    """The serving processes under supervisor *pid*: forked children
+    sharing its command line (unlike multiprocessing's helpers)."""
+    def cmdline(p):
+        try:
+            with open(f"/proc/{p}/cmdline", "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    own = cmdline(pid)
+    return {child for child in _children(pid) if cmdline(child) == own}
+
+
+def _descendants(pid):
+    found, stack = set(), [pid]
+    while stack:
+        for child in _children(stack.pop()):
+            if child not in found:
+                found.add(child)
+                stack.append(child)
+    return found
+
+
+def _alive(pid):
+    """True unless *pid* is gone or a zombie (dead, awaiting reaping)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_for(predicate, timeout, what):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.05)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="needs Linux procfs")
+class TestSupervisorProcess:
+    def test_sigkilled_process_respawns_and_sigterm_leaves_no_orphans(
+            self, tmp_path):
+        """``serve --workers 2`` end to end: a SIGKILLed serving process
+        is respawned while requests keep succeeding on the one port, and
+        SIGTERM to the supervisor leaves no descendant alive."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2",
+             "--port", "0", "--keys-journal", str(tmp_path / "keys.ndjson")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        seen = set()
+        try:
+            line = proc.stdout.readline().decode()
+            assert "listening on" in line, line
+            port = int(line.split("listening on", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+            before = _wait_for(lambda: len(_shards(proc.pid)) == 2
+                               and _shards(proc.pid), 30, "two shards")
+            seen |= _descendants(proc.pid)
+            expected = _keygen(port)
+            victim = min(before)
+            os.kill(victim, signal.SIGKILL)
+            after = _wait_for(
+                lambda: (kids := _shards(proc.pid)) - before
+                and len(kids) == 2 and kids, 30, "a respawned shard")
+            assert victim not in after
+            seen |= _descendants(proc.pid)
+            # Fresh connections, spread by the kernel over both shards.
+            for _ in range(6):
+                assert _keygen(port) == expected
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:  # a failed assertion above
+                proc.terminate()
+                try:
+                    proc.wait(timeout=15)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+            proc.stdout.close()
+        _wait_for(lambda: not any(_alive(pid) for pid in seen), 10,
+                  f"descendants {sorted(seen)} to exit")
