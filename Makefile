@@ -23,8 +23,9 @@ bench-smoke:
 bench-check:
 	$(PYTHON) -m repro bench --check
 
-# Superblock trace-engine gate: the directed three-way parity suite
-# (reference vs fast vs trace — bit- and cycle-exact on every kernel),
+# Superblock dispatcher gate: the directed three-way parity suite
+# (reference interpreter vs the basic-block rung vs superblocks — bit-
+# and cycle-exact on every kernel),
 # the SREG dead-flag property tests and the forced mid-superblock
 # fallback cases, plus the three-way differential fuzz harness.
 trace-smoke:
@@ -49,8 +50,9 @@ faults-smoke:
 	$(PYTHON) -m repro faults ecdsa --smoke --check
 
 # Constant-time gate (DESIGN.md §9): every leg runs the taint checker
-# over all three timing modes, twice (JSONL must be byte-identical) and
-# under both execution engines (verdicts must agree).  The field
+# over all three timing modes, twice on the default dispatcher (JSONL
+# must be byte-identical) and once on the reference interpreter (every
+# report field but the engine label must agree).  The field
 # multiplication, the masked-swap ladder and DAAA exponentiation must
 # come back clean; the NAF foil must stay flagged — if it ever reports
 # clean, the checker has lost its teeth.

@@ -5,7 +5,8 @@
     python -m repro all               # everything
     python -m repro leakage           # the timing-leakage extension report
     python -m repro table2 --source measured   # price with our kernels
-    python -m repro bench             # ISS throughput (fast vs reference)
+    python -m repro bench             # ISS throughput (superblock and
+                                      # basic-block tiers vs reference)
     python -m repro bench --smoke     # ~30 s benchmark subset
     python -m repro bench --check     # compare fresh smoke runs (ISS and,
                                       # when BENCH_serve.json exists,
@@ -69,7 +70,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "bench": ("repro.analysis.bench",
               "ISS throughput benchmarks; --check adds the serving gate"),
     "profile": ("repro.analysis.profile",
-                "engine-speed profiling and span tracing"),
+                "compiled-speed ISS profiling and span tracing"),
     "faults": ("repro.analysis.faults",
                "fault-injection campaigns against the ISS and protocols"),
     "ctcheck": ("repro.analysis.ctcheck",

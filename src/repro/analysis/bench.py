@@ -1,12 +1,13 @@
 """Parallel ISS benchmark harness: ``python -m repro bench``.
 
 Measures simulator *throughput* (simulated instructions per host second)
-for the paper's kernels under all three execution engines — the ``step()``
-reference interpreter, the block-compiling
-:class:`~repro.avr.engine.FastEngine` and the superblock
-:class:`~repro.avr.trace.TraceEngine` — and records the per-kernel
-speedups (fast/reference, trace/reference and trace/fast).  The matrix
-(kernel x mode x engine) fans out across worker processes; each worker
+for the paper's kernels on all three execution tiers — the ``step()``
+reference interpreter, the superblock :class:`~repro.avr.trace.TraceEngine`
+that ``AvrCore.run()`` dispatches to by default, and the block-compiling
+:class:`~repro.avr.engine.FastEngine` rung beneath it, which the ``fast``
+rows drive directly through ``AvrCore.fast_engine`` — and records the
+per-kernel speedups (fast/reference, trace/reference and trace/fast).
+The matrix (kernel x mode x engine) fans out across worker processes; each worker
 owns its own :class:`~repro.kernels.runner.KernelRunner` so entries are
 fully independent.
 
@@ -126,17 +127,30 @@ def _matrix(smoke: bool) -> List[Dict[str, Any]]:
     return specs
 
 
+def _engine(spec: Dict[str, Any]) -> str:
+    """The ``AvrCore(engine=...)`` value a row's kernel is built with:
+    ``fast`` rows build a default core and drive its basic-block engine."""
+    return "reference" if spec["engine"] == "reference" else "trace"
+
+
+def _run_fn(spec: Dict[str, Any], core):
+    """What a row times: the core's basic-block engine or ``run()``."""
+    return core.fast_engine.run if spec["engine"] == "fast" else core.run
+
+
 def _bench_field(spec: Dict[str, Any]) -> Dict[str, Any]:
     constants = OpfConstants(**_CONSTANTS)
     source = _GENERATORS[spec["kernel"]](constants)
-    runner = KernelRunner(source, Mode(spec["mode"]), engine=spec["engine"])
+    runner = KernelRunner(source, Mode(spec["mode"]), engine=_engine(spec))
     p = constants.p
     # Deterministic operands shared by every engine so ips comparisons
     # measure the engine, not the data.
     a = pow(3, 77, p)
     b = pow(5, 91, p)
-    runner.run(a, b)                      # warm-up: compile + decode caches
     core = runner.core
+    run = _run_fn(spec, core)
+    runner.stage(a, b)
+    run()                                 # warm-up: compile + decode caches
     per_run = core.instructions_retired
     cycles = core.cycles
     reps = spec["reps"]
@@ -147,7 +161,7 @@ def _bench_field(spec: Dict[str, Any]) -> Dict[str, Any]:
     def body():
         for _ in range(reps):
             core.reset(pc=0)
-            core.run()
+            run()
 
     wall = _best_of(3, body)
     return _entry(spec, per_run, cycles, reps, wall)
@@ -167,14 +181,20 @@ def _best_of(n: int, body) -> float:
 def _bench_ladder(spec: Dict[str, Any]) -> Dict[str, Any]:
     constants = OpfConstants(**_CONSTANTS)
     kernel = LadderKernel(constants, Mode(spec["mode"]),
-                          engine=spec["engine"])
+                          engine=_engine(spec))
     k = pow(7, 123, constants.p) | 1
     base_x = 9
-    kernel.run(k, base_x)                 # warm-up
+    run = _run_fn(spec, kernel.core)
+
+    def once():
+        kernel.load_operands(k, base_x)
+        run()
+
+    once()                                # warm-up
     per_run = kernel.core.instructions_retired
     cycles = kernel.core.cycles
     reps = spec["reps"]
-    wall = _best_of(2, lambda: [kernel.run(k, base_x) for _ in range(reps)])
+    wall = _best_of(2, lambda: [once() for _ in range(reps)])
     return _entry(spec, per_run, cycles, reps, wall)
 
 
@@ -471,8 +491,9 @@ def check_against_baseline(path: str = DEFAULT_OUTPUT,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark ISS throughput (fast engine vs reference) "
-                    "across kernels, modes and engines in parallel.",
+        description="Benchmark ISS throughput (superblock dispatcher, "
+                    "its basic-block rung and the reference interpreter) "
+                    "across kernels and modes in parallel.",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="~30 s subset (2 kernels, reduced reps)")

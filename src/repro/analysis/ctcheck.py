@@ -27,8 +27,8 @@ Targets mirror the profiler CLI plus the exponentiation foil pair:
 
 ``--check`` is the CI gate: it runs every (target, mode) twice and
 byte-compares the JSONL streams (determinism), then re-runs under the
-reference interpreter and compares verdicts against the fast engine
-(engine parity).  ``--expect clean|flagged`` turns the verdict into the
+reference interpreter and compares every report field except ``engine``
+against the default run (engine parity).  ``--expect clean|flagged`` turns the verdict into the
 exit status — ``make ctcheck-smoke`` pins ladder/daaa clean and naf
 flagged.
 """
@@ -86,7 +86,7 @@ def _deterministic_scalar(bits: int) -> int:
 
 
 def check_target(target: str, mode_key: str,
-                 engine: Optional[str] = None,
+                 engine: str = "trace",
                  scalar_bytes: Optional[int] = None) -> Dict[str, Any]:
     """Run one (target, mode) under the taint tracker; return the report.
 
@@ -196,7 +196,7 @@ def _format_text(reports: List[Dict[str, Any]]) -> str:
 
 
 def _run_matrix(targets: List[str], mode_keys: List[str],
-                engine: Optional[str],
+                engine: str,
                 scalar_bytes: Optional[int]) -> List[Dict[str, Any]]:
     return [check_target(t, m, engine=engine, scalar_bytes=scalar_bytes)
             for t in targets for m in mode_keys]
@@ -208,24 +208,25 @@ def _consistency_check(targets: List[str], mode_keys: List[str],
     """Determinism + engine-parity gate behind ``--check``.
 
     Returns a list of human-readable failures (empty = pass).  The first
-    (fast-engine) run is byte-compared against a rerun, then the whole
+    (default-engine) run is byte-compared against a rerun, then the whole
     matrix is repeated under the reference interpreter and every field
     except ``engine`` must agree — the taint phase itself always steps
     the interpreter, so this pins the engine-handoff logic.
     """
     failures: List[str] = []
-    rerun = _run_matrix(targets, mode_keys, "fast", scalar_bytes)
+    rerun = _run_matrix(targets, mode_keys, "trace", scalar_bytes)
     if ctcheck_to_jsonl(rerun) != ctcheck_to_jsonl(first):
         failures.append("determinism: rerun produced different JSONL")
     reference = _run_matrix(targets, mode_keys, "reference", scalar_bytes)
-    for fast_r, ref_r in zip(first, reference):
-        for key in fast_r:
+    for default_r, ref_r in zip(first, reference):
+        for key in default_r:
             if key == "engine":
                 continue
-            if fast_r[key] != ref_r[key]:
+            if default_r[key] != ref_r[key]:
                 failures.append(
-                    f"engine parity: {fast_r['target']}/{fast_r['mode']} "
-                    f"field {key!r} differs (fast={fast_r[key]!r}, "
+                    f"engine parity: {default_r['target']}/"
+                    f"{default_r['mode']} field {key!r} differs "
+                    f"(trace={default_r[key]!r}, "
                     f"reference={ref_r[key]!r})")
     return failures
 
@@ -242,13 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None,
                         help="timing mode (default: all three; "
                              "scalarmult defaults to ise)")
-    parser.add_argument("--engine", choices=("fast", "trace", "reference"),
-                        default=None,
-                        help="execution engine (default: fast / "
-                             "REPRO_AVR_ENGINE); live taint always steps "
-                             "the reference path, so 'trace' only "
-                             "accelerates the taint-free stretches "
-                             "(via the fast tier)")
     parser.add_argument("--scalar-bytes", type=int, default=None,
                         help="override secret width in bytes "
                              "(ladder/daaa/naf default 2, scalarmult 20)")
@@ -259,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "of stdout")
     parser.add_argument("--check", action="store_true",
                         help="double-run byte-compare (determinism) and "
-                             "fast-vs-reference verdict compare (parity)")
+                             "default-vs-reference report compare (parity)")
     parser.add_argument("--expect", choices=("clean", "flagged"),
                         default=None,
                         help="exit non-zero unless every mode's verdict "
@@ -269,8 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode_default = "ise" if args.target == "scalarmult" else "all"
     mode_key = args.mode or mode_default
     mode_keys = list(_MODES) if mode_key == "all" else [mode_key]
-    engine = "fast" if args.check else args.engine
-    reports = _run_matrix([args.target], mode_keys, engine,
+    reports = _run_matrix([args.target], mode_keys, "trace",
                           args.scalar_bytes)
 
     output = (ctcheck_to_jsonl(reports) if args.format == "jsonl"

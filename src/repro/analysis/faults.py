@@ -195,7 +195,6 @@ def _derive_scalar(tag: str, seed: int, bits: int) -> int:
 
 
 def run_ladder_campaign(n: int, seed: int, mode: Mode = Mode.CA,
-                        engine: str = "fast",
                         scalar_bytes: int = 2) -> CampaignResult:
     """Fault the assembly ladder kernel on the simulator.
 
@@ -207,8 +206,7 @@ def run_ladder_campaign(n: int, seed: int, mode: Mode = Mode.CA,
     """
     constants = OpfConstants(u=OPF_U, k=OPF_K)
     suite = make_montgomery(functional=True)
-    kernel = LadderKernel(constants, mode, scalar_bytes=scalar_bytes,
-                          engine=engine)
+    kernel = LadderKernel(constants, mode, scalar_bytes=scalar_bytes)
     bits = 8 * scalar_bytes
     k = _derive_scalar("ladder", seed, bits)
     gold_x, gold_z, gold_cycles = kernel.run(k, MONTGOMERY_GX)
@@ -378,11 +376,11 @@ def run_ecdsa_campaign(n: int, seed: int) -> CampaignResult:
 # -- dispatch + CLI -------------------------------------------------------
 
 
-def run_campaign(target: str, n: int, seed: int, mode: Mode = Mode.CA,
-                 engine: str = "fast") -> CampaignResult:
+def run_campaign(target: str, n: int, seed: int,
+                 mode: Mode = Mode.CA) -> CampaignResult:
     """Run one campaign by target name (the CLI/test entry point)."""
     if target == "ladder":
-        return run_ladder_campaign(n, seed, mode=mode, engine=engine)
+        return run_ladder_campaign(n, seed, mode=mode)
     if target == "scalarmult":
         return run_scalarmult_campaign(n, seed)
     if target == "ecdh":
@@ -392,11 +390,10 @@ def run_campaign(target: str, n: int, seed: int, mode: Mode = Mode.CA,
     raise ValueError(f"unknown campaign target {target!r}")
 
 
-def _check(target: str, n: int, seed: int, mode: Mode,
-           engine: str) -> int:
+def _check(target: str, n: int, seed: int, mode: Mode) -> int:
     """Determinism + hardening gate: campaign twice, compare, assert."""
-    first = run_campaign(target, n, seed, mode=mode, engine=engine)
-    second = run_campaign(target, n, seed, mode=mode, engine=engine)
+    first = run_campaign(target, n, seed, mode=mode)
+    second = run_campaign(target, n, seed, mode=mode)
     a, b = first.to_jsonl(), second.to_jsonl()
     if a != b:
         print("FAIL: two identically-seeded campaigns serialized "
@@ -439,12 +436,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7,
                         help="campaign seed (same seed => byte-identical "
                              "JSONL)")
-    parser.add_argument("--engine", choices=["fast", "trace", "reference"],
-                        default="fast",
-                        help="ISS execution engine (ladder target only); "
-                             "'trace' cores advance between fault triggers "
-                             "on the fast tier — superblocks carry no "
-                             "fault hooks")
     parser.add_argument("--format", choices=["text", "jsonl"],
                         default="text", help="output format")
     parser.add_argument("--out", default=None,
@@ -463,9 +454,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         n = (SMOKE_TRIALS if args.smoke else DEFAULT_TRIALS)[args.target]
     mode = _MODES[args.mode]
     if args.check:
-        return _check(args.target, n, args.seed, mode, args.engine)
-    result = run_campaign(args.target, n, args.seed, mode=mode,
-                          engine=args.engine)
+        return _check(args.target, n, args.seed, mode)
+    result = run_campaign(args.target, n, args.seed, mode=mode)
     output = result.to_jsonl() if args.format == "jsonl" else \
         result.render() + "\n"
     if args.out:

@@ -69,15 +69,15 @@ def _field_kernel_source(target: str, mode: Mode) -> str:
 
 
 def profile_kernel(target: str, mode: Mode, reps: int = 1,
-                   smoke: bool = False, engine: Optional[str] = None
+                   smoke: bool = False
                    ) -> Tuple[Tracer, Profiler, int, Any]:
     """Run a kernel target profiled+traced; returns (tracer, profiler,
     total_cycles, program) — *program* carries the symbol table.
 
-    *engine* selects the ISS tier exactly as ``AvrCore(engine=...)``;
-    note that profiled ``trace`` runs delegate to the fast engine (whose
-    compiled blocks carry the exact per-block tallies superblocks elide),
-    so the attribution is identical and only raw throughput differs.
+    The ISS runs on the default dispatcher, whose profiled runs ride the
+    basic-block engine: its compiled blocks carry the exact per-block
+    tallies superblocks elide, so the attribution is the reference
+    interpreter's.
 
     Alongside the ISS run, the *same* operation executes once on the
     Python OPF library under per-field-op spans, so every export pairs
@@ -92,16 +92,14 @@ def profile_kernel(target: str, mode: Mode, reps: int = 1,
     with tracer:
         if target == "ladder":
             kernel = LadderKernel(constants, mode,
-                                  scalar_bytes=2 if smoke else 20,
-                                  engine=engine)
+                                  scalar_bytes=2 if smoke else 20)
             profiler = kernel.attach_profiler()
             k = (pow(7, 123, p) | 1) % (1 << (8 * kernel.scalar_bytes))
             for _ in range(reps):
                 kernel.run(k, 9)
             _mirror_op(tracer, target, k)
             return tracer, profiler, kernel.core.cycles, kernel.program
-        runner = KernelRunner(_field_kernel_source(target, mode), mode,
-                              engine=engine)
+        runner = KernelRunner(_field_kernel_source(target, mode), mode)
         profiler = runner.attach_profiler()
         a, b = pow(3, 77, p), pow(5, 91, p)
         for _ in range(reps):
@@ -219,12 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "with --smoke")
     parser.add_argument("--mode", choices=sorted(_MODES), default="ise",
                         help="processor mode (default ise)")
-    parser.add_argument("--engine", choices=("fast", "trace", "reference"),
-                        default=None,
-                        help="ISS execution engine (default: fast / "
-                             "REPRO_AVR_ENGINE); profiled 'trace' runs "
-                             "delegate to the fast engine, which carries "
-                             "the exact per-block tallies")
     parser.add_argument("--format", choices=("text", "jsonl", "chrome"),
                         default="text", dest="fmt",
                         help="output format (default text)")
@@ -251,8 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = profile_scalarmult(mode, reps=args.reps, smoke=args.smoke)
     else:
         tracer, profiler, total_cycles, program = profile_kernel(
-            args.target, mode, reps=args.reps, smoke=args.smoke,
-            engine=args.engine)
+            args.target, mode, reps=args.reps, smoke=args.smoke)
 
     if args.fmt == "text":
         out = render_text(tracer, profiler, program)

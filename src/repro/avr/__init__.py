@@ -6,8 +6,10 @@
   assembler and disassembler over the shared encoding table.
 * :class:`~repro.avr.mac.MacUnit` — the paper's (32 x 4)-bit MAC extension
   with both trigger mechanisms (SWAP re-interpretation and R24 loads).
-* :class:`~repro.avr.engine.FastEngine` — the block-compiling fast engine
-  behind ``AvrCore.run()`` (the ``step()`` interpreter stays the reference).
+* :class:`~repro.avr.trace.TraceEngine` — the superblock dispatcher
+  behind ``AvrCore.run()`` (the ``step()`` interpreter stays the
+  reference); :class:`~repro.avr.engine.FastEngine` is its basic-block
+  rung for profiled runs, fault-injection and taint strides.
 * :class:`~repro.avr.profiler.Profiler` — instruction-mix reporting.
 * :class:`~repro.avr.taint.TaintTracker` — secret-taint shadow execution
   for constant-time verification (DESIGN.md §9, ``python -m repro

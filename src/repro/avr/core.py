@@ -12,34 +12,28 @@ changes.  A program halts by executing ``BREAK`` (the convention all kernels
 in :mod:`repro.kernels` follow) or when :meth:`run` hits its step budget (an
 error).
 
-Three execution engines share this architectural state:
+:meth:`run` has one compiled dispatcher and one reference:
 
-* :meth:`step` — the reference interpreter: one fetch/decode/execute per
-  call, the simplest possible statement of the semantics.
-* :mod:`repro.avr.engine` — the block-compiling fast engine used by
-  :meth:`run` by default: flash is predecoded into basic blocks and each
-  block is compiled to a specialised Python closure with identical
-  observable behaviour (registers, SRAM, SREG, PC, cycle count).
-* :mod:`repro.avr.trace` — the superblock trace engine
-  (``engine="trace"``): straight-line paths stitched across CALL/RET and
-  fall-through boundaries are compiled ahead of time into single
-  specialised functions (registers in locals, dead SREG flags elided),
-  guarded per dispatch on the flash version and the watchpoint set, with
-  transparent fallback to the fast engine and the interpreter.
+* :mod:`repro.avr.trace` (``engine="trace"``, the default) — straight-line
+  paths stitched across CALL/RET and fall-through boundaries, compiled
+  ahead of time into specialised functions and guarded per dispatch.  Its
+  fallback ladder: a profiled run goes to the basic-block
+  :class:`~repro.avr.engine.FastEngine` (exact per-block tallies), armed
+  watchpoints to :meth:`run_watched`, a deep MAC queue to one compiled
+  block, an ineligible entry to one :meth:`step`.
+* :meth:`step` (``engine="reference"``) — the reference interpreter, the
+  simplest statement of the semantics; the differential tests hold the
+  dispatcher equal to it.
 
-``AvrCore(engine="reference")`` or the environment variable
-``REPRO_AVR_ENGINE=reference`` forces the interpreter (e.g. for debugging a
-suspected engine bug); ``engine="trace"`` / ``REPRO_AVR_ENGINE=trace``
-selects the trace tier.  Profiling works on all engines: the interpreter
-records every retired instruction directly, while the fast engine compiles
-per-block tally bookkeeping into its closures and folds the raw counts into
-the profiler when the run ends — the parity tests assert both producers
-yield identical tallies.
+The core owns the basic-block engine (:attr:`fast_engine`); the fault
+injector and the taint tracker stride on it too.  Profiling works on both
+engines: the interpreter records every retired instruction, the
+basic-block engine folds compiled per-block tallies into the profiler at
+run end — the parity tests assert identical tallies.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 from .instructions import EXECUTORS
@@ -65,12 +59,10 @@ class AvrCore:
 
     def __init__(self, program: Optional[ProgramMemory] = None,
                  mode: Mode = Mode.CA, sram_size: int = 4096,
-                 hazard_policy: str = "error", engine: Optional[str] = None):
+                 hazard_policy: str = "error", engine: str = "trace"):
         if hazard_policy not in ("error", "stall", "ignore"):
             raise ValueError(f"unknown hazard policy {hazard_policy!r}")
-        if engine is None:
-            engine = os.environ.get("REPRO_AVR_ENGINE", "fast")
-        if engine not in ("fast", "reference", "trace"):
+        if engine not in ("trace", "reference"):
             raise ValueError(f"unknown execution engine {engine!r}")
         self.program = program or ProgramMemory()
         self.mode = mode
@@ -97,24 +89,23 @@ class AvrCore:
         # the flash image identified by ``_decode_version``.
         self._decode_cache: Dict[int, Tuple[InstructionSpec, dict, int]] = {}
         self._decode_version = self.program.version
-        #: Which engine :meth:`run` uses: "fast" (block compiler),
-        #: "trace" (superblock compiler) or "reference" (the :meth:`step`
-        #: interpreter).
+        #: Which engine :meth:`run` uses: "trace" (the superblock
+        #: dispatcher) or "reference" (the :meth:`step` interpreter).
         self.engine = engine
-        self._fast_engine = None  # lazily constructed repro.avr.engine
+        self._fast_engine = None  # see the fast_engine property
         self._trace_engine = None  # lazily constructed repro.avr.trace
         #: Data-space watchpoints: byte addresses whose writes should be
         #: recorded.  A non-empty set routes :meth:`run` to
         #: :meth:`run_watched` (reference stepping) regardless of the
-        #: configured engine — the compiled tiers are not legal under
-        #: watchpoints and fall back by construction.
+        #: configured engine — compiled code is not legal under
+        #: watchpoints and falls back by construction.
         self.watchpoints: set = set()
         #: ``(pc, address, old, new)`` tuples recorded by
         #: :meth:`run_watched`; cleared on :meth:`reset`.
         self.watch_hits: list = []
         #: Optional profiler (attach with :meth:`attach_profiler`).
         self.profiler = None
-        #: Raw per-block tallies while the fast engine runs profiled
+        #: Raw per-block tallies while the basic-block engine runs profiled
         #: (:class:`repro.avr.profiler.EngineProfile`; lazily created).
         self._engine_profile = None
 
@@ -126,12 +117,28 @@ class AvrCore:
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.avr.profiler.Profiler`.
 
-        Works with both engines.  The fast engine keeps its speed: profiled
-        runs dispatch to a parallel cache of closures that carry the tally
-        bookkeeping inline (a couple of integer increments per *block*) and
-        fold into the profiler at run end.
+        Works with both engines.  Profiled dispatcher runs keep compiled
+        speed on the basic-block engine: it switches to a parallel cache of
+        closures that carry the tally bookkeeping inline (a couple of
+        integer increments per *block*) and folds into the profiler at run
+        end.
         """
         self.profiler = profiler
+
+    @property
+    def fast_engine(self):
+        """This core's basic-block :class:`~repro.avr.engine.FastEngine`.
+
+        Built on first use and shared by every caller that executes whole
+        compiled blocks on this core: the superblock dispatcher's
+        fallbacks, :class:`~repro.faults.injector.FaultInjector` strides
+        and :class:`~repro.avr.taint.TaintTracker` taint-free stretches.
+        """
+        if self._fast_engine is None:
+            from .engine import FastEngine
+
+            self._fast_engine = FastEngine(self)
+        return self._fast_engine
 
     def reset(self, pc: int = 0) -> None:
         """Reset PC, cycle counter, MAC state and the stack pointer.
@@ -246,29 +253,23 @@ class AvrCore:
     def run(self, max_steps: int = 50_000_000) -> int:
         """Run until ``BREAK``; returns total cycles since the last reset.
 
-        Dispatches to the block-compiling fast engine unless the core was
-        built with ``engine="reference"`` (interpreter) or
-        ``engine="trace"`` (superblock compiler).  Armed watchpoints route
-        the run to :meth:`run_watched` regardless of engine.  An attached
-        profiler rides along on every engine; frames still open when the
-        program halts are closed at the final cycle count.
+        Dispatches to the superblock :class:`~repro.avr.trace.TraceEngine`
+        unless the core was built with ``engine="reference"``
+        (interpreter).  Armed watchpoints route the run to
+        :meth:`run_watched` regardless of engine.  An attached profiler
+        rides along on both engines; frames still open when the program
+        halts are closed at the final cycle count.
         """
         if self.watchpoints:
             cycles = self.run_watched(max_steps)
-        elif self.engine == "trace":
-            from .trace import TraceEngine
-
+        elif self.engine == "reference":
+            cycles = self.run_reference(max_steps)
+        else:
             if self._trace_engine is None:
+                from .trace import TraceEngine
+
                 self._trace_engine = TraceEngine(self)
             cycles = self._trace_engine.run(max_steps)
-        elif self.engine == "fast":
-            from .engine import FastEngine
-
-            if self._fast_engine is None:
-                self._fast_engine = FastEngine(self)
-            cycles = self._fast_engine.run(max_steps)
-        else:
-            cycles = self.run_reference(max_steps)
         if self.profiler is not None and self.halted:
             self.profiler.finish(self.cycles)
         return cycles

@@ -1,4 +1,4 @@
-"""The block-compiling fast execution engine.
+"""The block-compiling fast engine: the dispatcher's basic-block rung.
 
 The reference interpreter (:meth:`AvrCore.step`) pays the full Python toll —
 decode-cache lookup, executor dispatch through a dict of closures, operand
@@ -40,6 +40,13 @@ interpreter — and raises the same exception type from the same architectural
 state for MAC hazards, illegal opcodes and out-of-range memory traffic.
 ``tests/test_avr_fuzz.py`` enforces this differentially on random programs,
 ``tests/test_avr_engine.py`` on directed ones.
+
+Role: :meth:`AvrCore.run` dispatches through :mod:`repro.avr.trace`;
+this engine is not selected by ``engine=``.  It is the rung the dispatcher
+falls back to for profiled runs (the only tier with exact per-block
+tallies) and deep MAC queues, and the compiled stride of fault injection
+and taint tracking.  Each core owns one instance
+(:attr:`AvrCore.fast_engine`).
 
 The engine assumes the I/O hook layout installed by :class:`AvrCore` (SREG
 always, MACCR in ISE mode).  Additional hooks on other I/O addresses still

@@ -24,10 +24,11 @@ CALL/RET routine.
 Engine interaction: while any taint is live the tracker single-steps the
 reference interpreter (the only place per-instruction propagation is
 possible); whenever the shadow state is completely clean it executes
-whole compiled blocks through the fast engine's
-:meth:`~repro.avr.engine.FastEngine.step_block`.  Verdicts are therefore
-bit-identical under both engines by construction — the parity tests
-assert it.
+whole compiled blocks through the core's basic-block
+:meth:`~repro.avr.engine.FastEngine.step_block` (superblocks carry no
+taint hooks), unless the core was built with ``engine="reference"``.
+Verdicts are therefore bit-identical under both engines by construction —
+the parity tests assert it.
 """
 
 from __future__ import annotations
@@ -285,28 +286,19 @@ class TaintTracker:
 
     def run(self, max_steps: int = 200_000_000) -> int:
         """Run to ``BREAK``: stepped while taint is live, compiled blocks
-        (fast-engine cores) while the shadow state is completely clean."""
+        (non-reference cores) while the shadow state is completely clean."""
         from .core import ExecutionError
 
         core = self.core
-        engine = None
+        compiled = core.engine != "reference"
         steps = 0
         while not core.halted:
             if self.any_live():
                 self.step()
                 steps += 1
-            elif core.engine in ("fast", "trace"):
-                # Superblocks carry no taint hooks: a trace-engine core
-                # drives the fast tier here, exactly as its dispatcher
-                # would (see the fallback ladder in repro.avr.trace).
-                if engine is None:
-                    from .engine import FastEngine
-
-                    if core._fast_engine is None:
-                        core._fast_engine = FastEngine(core)
-                    engine = core._fast_engine
+            elif compiled:
                 before = core.instructions_retired
-                engine.step_block()
+                core.fast_engine.step_block()
                 steps += core.instructions_retired - before
             else:
                 core.step()

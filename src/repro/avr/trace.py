@@ -1,4 +1,4 @@
-"""The superblock trace engine: an AOT-specialized third execution tier.
+"""The superblock dispatcher behind :meth:`AvrCore.run`.
 
 The block-compiling fast engine (:mod:`repro.avr.engine`) stops every
 compiled run at the first control transfer, so a measured kernel — a
@@ -49,7 +49,11 @@ Fallback ladder (the tier is legal only when its guards hold):
   *before* the hooked instruction ran.
 * An attached profiler delegates the whole run to :class:`FastEngine`,
   which carries exact per-block tallies; taint tracking and fault
-  injection drive the fast engine / reference stepping themselves.
+  injection drive the core's :attr:`~AvrCore.fast_engine` / reference
+  stepping themselves.
+* A deep MAC queue (more than 4 pending nibbles, only reachable under the
+  ``"ignore"`` hazard policy) executes one compiled block of the fast
+  engine.
 * A PC whose first instruction is ineligible (I/O escape, illegal opcode)
   executes one reference :meth:`AvrCore.step` — hooks and exceptions
   behave exactly as in the interpreter.
@@ -59,7 +63,7 @@ SREG, PC, cycle count, retired-instruction count and exception behaviour
 match the reference interpreter bit for bit.  ``tests/test_avr_trace.py``
 asserts this three ways (directed kernels, SREG liveness property tests,
 forced mid-superblock fallbacks) and ``tests/test_avr_fuzz.py`` runs the
-three-way engine differential fuzz.
+three-way differential fuzz (reference, fast engine, superblocks).
 """
 
 from __future__ import annotations
@@ -1277,8 +1281,8 @@ class TraceEngine:
 
     Per dispatch it checks the flash version (invalidating on any change)
     and the watchpoint set (handing the rest of the run to reference
-    stepping when armed); profiled runs delegate wholly to the fast
-    engine, whose closures carry exact tally bookkeeping.  Entry PCs that
+    stepping when armed); profiled runs delegate wholly to the core's
+    fast engine, whose closures carry exact tally bookkeeping.  Entry PCs that
     cannot head a superblock — and superblock executions that make no
     progress because the very first instruction side-exits (an indirect
     access landing in I/O space) — take a single reference step, so hook
@@ -1286,12 +1290,7 @@ class TraceEngine:
     """
 
     def __init__(self, core):
-        from .engine import FastEngine
-
         self.core = core
-        if core._fast_engine is None:
-            core._fast_engine = FastEngine(core)
-        self.fast = core._fast_engine
         self.superblocks: Dict[int, Any] = {}
         self.version = -1
 
@@ -1304,7 +1303,7 @@ class TraceEngine:
         if core.profiler is not None:
             # The fast engine's profiled closures reproduce the reference
             # tallies exactly; superblocks carry no tally bookkeeping.
-            return self.fast.run(max_steps)
+            return core.fast_engine.run(max_steps)
         sbs = self.superblocks
         sbs_get = sbs.get
         missing = _MISSING
@@ -1331,7 +1330,7 @@ class TraceEngine:
                 pl0 = 0
                 key = pc
             if pl0 > 4:
-                self.fast.step_block()
+                core.fast_engine.step_block()
             else:
                 fn = sbs_get(key, missing)
                 if fn is missing:

@@ -7,8 +7,8 @@ Three layers, lowest first:
   :class:`FaultDetectedError` contract hardened code signals with.
 * :mod:`repro.faults.injector` — applies specs to a running
   :class:`~repro.avr.core.AvrCore`, engine-independently: identical
-  fault placement under the reference interpreter and the block-compiling
-  fast engine.
+  fault placement under the reference interpreter and the compiled
+  strides of a default core.
 * :mod:`repro.faults.pyfaults` — the same adversary against the Python
   algorithms (ladder-state flips, corrupted scalar-mult backends).
 

@@ -3,13 +3,14 @@
 The injector drives the core itself so that a fault lands at a precise,
 engine-independent point: the first **instruction boundary** at which the
 cycle counter has reached the fault's trigger cycle.  On a ``reference``
-core that boundary is reached by single-stepping.  On a ``fast`` core the
-injector advances in compiled-block strides (:meth:`FastEngine.step_block`)
+core that boundary is reached by single-stepping.  On a default core the
+injector advances in compiled-block strides of the core's basic-block
+engine (:meth:`FastEngine.step_block`; superblocks carry no fault hooks)
 while the trigger is provably more than one block away — a block can cost at
 most ``MAX_BLOCK_INSTRUCTIONS * _MAX_INSTR_CYCLES`` cycles — and switches to
-single-stepping for the final approach.  Both engines therefore interrupt
-at the *same* boundary with the same architectural state, which is what the
-engine-parity tests in ``tests/test_faults.py`` assert.
+single-stepping for the final approach.  Every execution tier therefore
+interrupts at the *same* boundary with the same architectural state, which
+is what the parity tests in ``tests/test_faults.py`` assert.
 
 Fault application (see :mod:`repro.faults.model` for the taxonomy):
 
@@ -22,7 +23,7 @@ Fault application (see :mod:`repro.faults.model` for the taxonomy):
   instruction through the reference interpreter, then restores the word.
   Both writes bump :attr:`ProgramMemory.version`, so the decode cache and
   any compiled blocks covering the corrupted word are invalidated and the
-  fast engine recompiles (hitting the global block cache once the original
+  compiled tiers recompile (hitting the global block cache once the original
   word is back) — transient corruption never leaks into later execution.
 
 After all faults are applied the program runs to completion (``BREAK``)
@@ -64,8 +65,8 @@ class FaultInjector:
     """Run a core to completion with faults injected at their triggers.
 
     The core must be freshly staged (operands loaded, ``reset()`` done) and
-    must not have a profiler attached — profiled fast-engine runs fold
-    their tallies only at run end, which an interposed fault would split.
+    must not have a profiler attached — profiled runs fold their tallies
+    only at run end, which an interposed fault would split.
     """
 
     def __init__(self, core: AvrCore, faults: Sequence[FaultSpec],
@@ -77,15 +78,8 @@ class FaultInjector:
         # Stable sort: faults sharing a trigger apply in list order.
         self.faults = sorted(faults, key=lambda s: s.cycle)
         self.max_steps = max_steps
-        self._engine = None
-        if core.engine in ("fast", "trace"):
-            # Superblocks carry no fault hooks: trace-engine cores advance
-            # on the fast tier between triggers, exactly as the trace
-            # dispatcher's own fallback ladder prescribes.
-            from ..avr.engine import FastEngine
-            if core._fast_engine is None:
-                core._fast_engine = FastEngine(core)
-            self._engine = core._fast_engine
+        self._engine = (core.fast_engine if core.engine != "reference"
+                        else None)
 
     # -- driving ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ with the x-only ladder kernel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..avr.assembler import assemble
 from ..avr.core import AvrCore
@@ -139,7 +139,7 @@ class CozLadderKernel:
     """Run the in-assembly co-Z ladder over the OPF Weierstraß curve."""
 
     def __init__(self, constants: OpfConstants, mode: Mode, curve_a: int,
-                 scalar_bytes: int = 20, engine: Optional[str] = None):
+                 scalar_bytes: int = 20, engine: str = "trace"):
         self.constants = constants
         self.mode = mode
         self.curve_a = curve_a % constants.p

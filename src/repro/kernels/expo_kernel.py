@@ -213,7 +213,7 @@ class ExpoKernel:
 
     def __init__(self, constants: OpfConstants, mode: Mode,
                  method: str = "daaa", exp_bytes: int = 2,
-                 engine: Optional[str] = None):
+                 engine: str = "trace"):
         if method not in ("daaa", "naf"):
             raise ValueError(f"unknown exponentiation method {method!r}")
         self.constants = constants

@@ -339,7 +339,7 @@ class LadderKernel:
     """Assemble once, run full scalar multiplications on the simulator."""
 
     def __init__(self, constants: OpfConstants, mode: Mode,
-                 scalar_bytes: int = 20, engine: Optional[str] = None):
+                 scalar_bytes: int = 20, engine: str = "trace"):
         self.constants = constants
         self.mode = mode
         self.scalar_bytes = scalar_bytes
@@ -357,8 +357,9 @@ class LadderKernel:
 
         Fault campaigns call this between trials: a bit flip in untouched
         SRAM (or a corrupted stack region) must not leak into the next
-        run.  Compiled blocks are re-served from the fast engine's global
-        cache, so the rebuild costs microseconds, not a recompile.
+        run.  Compiled superblocks and basic blocks are re-served from
+        their global caches, so the rebuild costs microseconds, not a
+        recompile.
         """
         self.core = AvrCore(ProgramMemory(num_words=65536), mode=self.mode,
                             sram_size=4096, engine=self._engine)

@@ -25,7 +25,7 @@ class KernelRunner:
 
     def __init__(self, source: str, mode: Mode = Mode.CA,
                  hazard_policy: str = "error", sram_size: int = 8192,
-                 engine: Optional[str] = None):
+                 engine: str = "trace"):
         self.source = source
         self.mode = mode
         self.program = assemble(source)

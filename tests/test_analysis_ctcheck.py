@@ -67,11 +67,13 @@ class TestDeterminismAndParity:
         ("naf", "ise"), ("ladder", "ise"), ("mul", "ca"),
     ])
     def test_engines_agree_on_everything_but_the_label(self, target, mode):
-        fast = check_target(target, mode, engine="fast")
+        # The default core runs its taint-free stretches in basic-block
+        # strides; the reference core steps every instruction.
+        default = check_target(target, mode)
         reference = check_target(target, mode, engine="reference")
-        assert fast.pop("engine") == "fast"
+        assert default.pop("engine") == "trace"
         assert reference.pop("engine") == "reference"
-        assert fast == reference
+        assert default == reference
 
 
 class TestJsonlExport:

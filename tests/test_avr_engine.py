@@ -1,11 +1,13 @@
-"""The block-compiling fast engine vs the reference ``step()`` interpreter.
+"""The compiled tiers vs the reference ``step()`` interpreter.
 
-Every test runs the same program on two cores — one per engine — and
-asserts *architecturally identical* outcomes: registers, memory, SREG, PC,
-cycle count, instructions retired and MAC state.  The fast engine claims
-bit- and cycle-exactness, so any divergence here is a bug by definition,
-including on the error paths (MAC hazards, illegal opcodes, exceeded step
-budgets) where the compiled blocks must reconstruct partial-block state.
+Every test runs the same program on one core per tier — the reference
+interpreter, the block-compiling fast engine and the superblock dispatcher
+(:mod:`iss_tiers`) — and asserts *architecturally identical* outcomes:
+registers, memory, SREG, PC, cycle count, instructions retired and MAC
+state.  The compiled tiers claim bit- and cycle-exactness, so any
+divergence here is a bug by definition, including on the error paths (MAC
+hazards, illegal opcodes, exceeded step budgets) where compiled code must
+reconstruct partial-block state.
 """
 
 import pytest
@@ -21,11 +23,13 @@ from repro.avr import (
     assemble,
 )
 from repro.kernels import KernelRunner, OpfConstants, generate_opf_mul_mac
+from repro.obs.metrics import METRICS
+
+from iss_tiers import TIERS, build, make_core
 
 
-def _fresh_core(engine, mode=Mode.CA, policy="error", sram=1024):
-    return AvrCore(ProgramMemory(), mode=mode, hazard_policy=policy,
-                   sram_size=sram, engine=engine)
+def _fresh_core(tier, mode=Mode.CA, policy="error", sram=1024):
+    return make_core(tier, mode=mode, hazard_policy=policy, sram_size=sram)
 
 
 def _state(core):
@@ -44,10 +48,10 @@ def _state(core):
 
 
 def run_both(source, mode=Mode.CA, policy="error", sram=1024, init=None):
-    """Run on both engines; assert identical outcomes; return fast state."""
+    """Run on every tier; assert identical outcomes; return fast state."""
     states = {}
-    for engine in ("fast", "reference"):
-        core = _fresh_core(engine, mode, policy, sram)
+    for tier in TIERS:
+        core = _fresh_core(tier, mode, policy, sram)
         assemble(source).load_into(core.program)
         if init:
             init(core)
@@ -56,13 +60,14 @@ def run_both(source, mode=Mode.CA, policy="error", sram=1024, init=None):
             core.run()
         except (MacHazardError, ExecutionError, IndexError) as exc:
             err = (type(exc).__name__, str(exc))
-        states[engine] = (_state(core), err)
+        states[tier] = (_state(core), err)
     assert states["fast"] == states["reference"]
+    assert states["trace"] == states["reference"]
     return states["fast"]
 
 
 class TestCategoryEquivalence:
-    """Directed programs per instruction family, both engines."""
+    """Directed programs per instruction family, every tier."""
 
     def test_alu_flag_chains(self):
         run_both(
@@ -264,7 +269,7 @@ class TestMacParity:
     def test_mac_kernel_full_parity(self):
         c = OpfConstants(u=65356, k=144)
         src = generate_opf_mul_mac(c)
-        fast = KernelRunner(src, Mode.ISE, engine="fast")
+        fast = build(KernelRunner, src, Mode.ISE, tier="fast")
         ref = KernelRunner(src, Mode.ISE, engine="reference")
         a = pow(3, 99, c.p)
         b = pow(7, 55, c.p)
@@ -294,14 +299,15 @@ class TestErrorPathParity:
     def test_step_budget_exceeded(self):
         src = "spin:\n    rjmp spin\n"
         outcomes = {}
-        for engine in ("fast", "reference"):
-            core = _fresh_core(engine)
+        for tier in TIERS:
+            core = _fresh_core(tier)
             assemble(src).load_into(core.program)
             with pytest.raises(ExecutionError, match="step budget"):
                 core.run(max_steps=1000)
-            outcomes[engine] = (core.pc, core.instructions_retired,
-                                core.cycles)
+            outcomes[tier] = (core.pc, core.instructions_retired,
+                              core.cycles)
         assert outcomes["fast"] == outcomes["reference"]
+        assert outcomes["trace"] == outcomes["reference"]
 
 
 class TestInvalidation:
@@ -370,22 +376,32 @@ class TestReset:
 
 
 class TestEngineSelection:
-    def test_env_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AVR_ENGINE", raising=False)
-        assert AvrCore(ProgramMemory()).engine == "fast"
+    def test_default_is_the_superblock_dispatcher(self):
+        c = OpfConstants(u=65356, k=144)
+        runner = KernelRunner(generate_opf_mul_mac(c), Mode.ISE)
+        assert runner.core.engine == "trace"
+        before = METRICS.snapshot()
+        runner.run(pow(3, 99, c.p), pow(7, 55, c.p))
+        after = METRICS.snapshot()
+        ticked = [name for name in ("avr_superblocks_compiled",
+                                    "avr_superblock_cache_hits")
+                  if after.get(name, 0) > before.get(name, 0)]
+        assert ticked, "the default run dispatched no superblock"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AVR_ENGINE", "reference")
-        assert AvrCore(ProgramMemory()).engine == "reference"
+    def test_fast_is_not_an_engine(self):
+        # The basic-block engine is the dispatcher's internal rung.
+        with pytest.raises(ValueError):
+            AvrCore(ProgramMemory(), engine="fast")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             AvrCore(ProgramMemory(), engine="jit")
 
     def test_profiler_rides_the_fast_engine(self):
-        # A profiler no longer forces the reference interpreter: the fast
-        # engine dispatches to profiled closures and folds block tallies in.
-        core = _fresh_core("fast")
+        # A profiler never forces the reference interpreter: the default
+        # dispatcher hands profiled runs to the basic-block engine, which
+        # dispatches to profiled closures and folds block tallies in.
+        core = AvrCore(ProgramMemory())
         assemble("    nop\n    break\n").load_into(core.program)
         from repro.avr import Profiler
         prof = Profiler()

@@ -14,6 +14,8 @@ import pytest
 
 from repro.avr import AvrCore, Mode, ProgramMemory, assemble
 
+from iss_tiers import TIERS, make_core
+
 SRC_ADDR_A = 0x100
 SRC_ADDR_B = 0x140
 DST_ADDR = 0x180
@@ -201,7 +203,7 @@ class TestEngineDifferentialFuzz:
     destination bytes happen to agree.
     """
 
-    ENGINES = ("reference", "fast", "trace")
+    ENGINES = TIERS
 
     GENERATORS = [
         lambda n: gen_addsub_chain(n, subtract=False),
@@ -214,7 +216,7 @@ class TestEngineDifferentialFuzz:
 
     @staticmethod
     def _run_engine(engine, source, a, b, nbytes, mode):
-        core = AvrCore(ProgramMemory(), mode=mode, engine=engine)
+        core = make_core(engine, mode=mode)
         assemble(source).load_into(core.program)
         core.data.load_bytes(SRC_ADDR_A, a.to_bytes(nbytes, "little"))
         core.data.load_bytes(SRC_ADDR_B, b.to_bytes(nbytes, "little"))
@@ -248,7 +250,7 @@ class TestEngineDifferentialFuzz:
             ) + "\n    break\n"
             results = []
             for engine in self.ENGINES:
-                core = AvrCore(ProgramMemory(), engine=engine)
+                core = make_core(engine)
                 assemble(source).load_into(core.program)
                 core.run()
                 results.append((bytes(core.data._mem), core.sreg.value,
@@ -273,7 +275,7 @@ class TestTraceForcedFallback:
     TRIGGER_IO = 0x10
 
     def _run(self, engine, source, a, nbytes, hook_factory):
-        core = AvrCore(ProgramMemory(), mode=Mode.CA, engine=engine)
+        core = make_core(engine, mode=Mode.CA)
         assemble(source).load_into(core.program)
         core.data.load_bytes(SRC_ADDR_A, a.to_bytes(nbytes, "little"))
         core.data.io_write_hooks[self.TRIGGER_IO] = hook_factory(core)

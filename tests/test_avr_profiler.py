@@ -1,5 +1,6 @@
-"""Engine-speed profiling: the fast engine's compile-time fold must match
-the reference interpreter tally for tally, plus CALL/RET attribution."""
+"""Compiled-speed profiling: the fast engine's compile-time fold must match
+the reference interpreter tally for tally, plus CALL/RET attribution.
+Profiled runs of the default superblock dispatcher ride the same fold."""
 
 import time
 
@@ -17,6 +18,8 @@ from repro.kernels import (
     generate_opf_mul_comba,
     generate_opf_mul_mac,
 )
+
+from iss_tiers import TIERS, build
 
 CONSTANTS = OpfConstants(u=65356, k=144)
 P = CONSTANTS.p
@@ -64,21 +67,22 @@ class TestEngineParity:
     def test_kernel_tallies_match_reference(self, name, gen, mode):
         source = gen(CONSTANTS)
         results = {}
-        for engine in ("fast", "reference"):
-            runner = KernelRunner(source, mode, engine=engine)
+        for tier in TIERS:
+            runner = build(KernelRunner, source, mode, tier=tier)
             prof = runner.attach_profiler()
             runner.run(A, B)
-            results[engine] = _tallies(prof)
+            results[tier] = _tallies(prof)
             assert prof.total_cycles == runner.core.cycles
             assert prof.total_instructions == \
                 runner.core.instructions_retired
         assert results["fast"] == results["reference"]
+        assert results["trace"] == results["reference"]
 
     def test_repeated_runs_refold_cleanly(self):
         """The fold re-arms the block tallies, so a second profiled run
         produces the same numbers, not doubled or stale ones."""
-        runner = KernelRunner(generate_opf_mul_mac(CONSTANTS), Mode.ISE,
-                              engine="fast")
+        runner = build(KernelRunner, generate_opf_mul_mac(CONSTANTS),
+                       Mode.ISE, tier="fast")
         prof = runner.attach_profiler()
         runner.run(A, B)
         first = _tallies(prof)
@@ -90,18 +94,19 @@ class TestEngineParity:
     def test_ladder_call_attribution_matches_reference(self, mode):
         k = (pow(7, 123, P) | 1) % (1 << 8)
         results = {}
-        for engine in ("fast", "reference"):
-            kernel = LadderKernel(CONSTANTS, mode, scalar_bytes=1,
-                                  engine=engine)
+        for tier in TIERS:
+            kernel = build(LadderKernel, CONSTANTS, mode, scalar_bytes=1,
+                           tier=tier)
             prof = kernel.attach_profiler()
             kernel.run(k, 9)
-            results[engine] = (
+            results[tier] = (
                 _tallies(prof),
                 prof.routines(),
                 sorted(prof.folded_stacks()),
                 prof.frames,
             )
         assert results["fast"] == results["reference"]
+        assert results["trace"] == results["reference"]
 
     def test_ladder_routine_table_names_the_field_subroutines(self):
         kernel = LadderKernel(CONSTANTS, Mode.ISE, scalar_bytes=1)
@@ -238,8 +243,8 @@ class TestProfiledEngineOverhead:
         # The worst case for the fold: a single 620-cycle straight-line
         # kernel, where the per-run fold is the whole overhead.
         source = generate_opf_mul_mac(CONSTANTS)
-        plain = KernelRunner(source, Mode.ISE, engine="fast")
-        profiled = KernelRunner(source, Mode.ISE, engine="fast")
+        plain = build(KernelRunner, source, Mode.ISE, tier="fast")
+        profiled = build(KernelRunner, source, Mode.ISE, tier="fast")
         prof = profiled.attach_profiler()
         ratio = self._best_ratio(lambda: plain.run(A, B),
                                  lambda: profiled.run(A, B), reps=200)
@@ -254,10 +259,10 @@ class TestProfiledEngineOverhead:
         # The representative workload: ~50 kilocycles per run with real
         # CALL/RET event traffic riding along.
         k = 0xB7
-        plain = LadderKernel(CONSTANTS, Mode.ISE, scalar_bytes=1,
-                             engine="fast")
-        profiled = LadderKernel(CONSTANTS, Mode.ISE, scalar_bytes=1,
-                                engine="fast")
+        plain = build(LadderKernel, CONSTANTS, Mode.ISE, scalar_bytes=1,
+                      tier="fast")
+        profiled = build(LadderKernel, CONSTANTS, Mode.ISE, scalar_bytes=1,
+                         tier="fast")
         prof = profiled.attach_profiler()
         ratio = self._best_ratio(lambda: plain.run(k, 9),
                                  lambda: profiled.run(k, 9), reps=5)

@@ -12,13 +12,14 @@ from repro.avr import sreg as F
 from repro.avr.instructions import EXECUTORS
 from repro.avr.taint import TAINT_RULES, TaintTracker
 
+from iss_tiers import make_core
+
 SECRET = 0x0100  # an SRAM scratch address the programs below read
 PUBLIC = 0x0110
 
 
-def make_tracker(source, mode=Mode.CA, engine=None, data=()):
-    core = AvrCore(ProgramMemory(), mode=mode, sram_size=4096,
-                   engine=engine)
+def make_tracker(source, mode=Mode.CA, tier="trace", data=()):
+    core = make_core(tier, mode=mode, sram_size=4096)
     program = assemble(source)
     program.load_into(core.program)
     for address, value in data:
@@ -27,9 +28,9 @@ def make_tracker(source, mode=Mode.CA, engine=None, data=()):
     return core, tracker
 
 
-def run_tainted(source, mode=Mode.CA, engine=None, data=(),
+def run_tainted(source, mode=Mode.CA, tier="trace", data=(),
                 secret=((SECRET, 1),)):
-    core, tracker = make_tracker(source, mode=mode, engine=engine,
+    core, tracker = make_tracker(source, mode=mode, tier=tier,
                                  data=data)
     for address, length in secret:
         tracker.mark_data(address, length)
@@ -310,8 +311,8 @@ class TestAttribution:
 
 class TestEngineParity:
     # After the EOR the taint set is empty, so tracker.run() hands the
-    # public loop to the fast engine; the reference run must agree on
-    # every observable.
+    # public loop to the basic-block fast engine; the reference run must
+    # agree on every observable.
     MIXED = f"""
         lds r16, {SECRET}
         add r16, r16
@@ -340,10 +341,10 @@ class TestEngineParity:
     @pytest.mark.parametrize("source", [MIXED, LEAKY])
     def test_fast_and_reference_agree(self, source):
         results = {}
-        for engine in ("fast", "reference"):
-            core, tracker = run_tainted(source, engine=engine,
+        for tier in ("fast", "reference"):
+            core, tracker = run_tainted(source, tier=tier,
                                         data=[(SECRET, 0x5A)])
-            results[engine] = {
+            results[tier] = {
                 "cycles": core.cycles,
                 "instructions": core.instructions_retired,
                 "violations": [v.as_dict() for v in tracker.violations],
@@ -353,6 +354,7 @@ class TestEngineParity:
         assert results["fast"] == results["reference"]
 
     def test_fast_engine_actually_engages_when_taint_dies(self):
-        core, tracker = run_tainted(self.MIXED, engine="fast")
+        core, tracker = run_tainted(self.MIXED, tier="fast")
         assert not tracker.any_live()
         assert core.halted
+        assert core._fast_engine is not None and core._fast_engine.blocks

@@ -1,9 +1,10 @@
-"""Directed tests for the superblock trace engine (third execution tier).
+"""Directed tests for the superblock dispatcher behind ``AvrCore.run()``.
 
 The trace tier AOT-specialises straight-line paths — stitched across
 CALL/RET and fall-through boundaries — into single Python closures with
 registers in locals and dead SREG flag computation elided.  Everything
-here checks the tier against the other two engines at full architectural
+here checks the tier against the reference interpreter and the
+basic-block fast engine (:mod:`iss_tiers`) at full architectural
 fidelity: memory image, SREG, PC, cycle count and instructions retired.
 
 Four angles:
@@ -32,8 +33,9 @@ from repro.kernels.mul_kernels import (generate_opf_mul_comba,
                                        generate_opf_mul_mac)
 from repro.kernels.runner import KernelRunner
 
+from iss_tiers import TIERS as ENGINES, build, make_core
+
 CONSTANTS = OpfConstants(u=65356, k=144)
-ENGINES = ("reference", "fast", "trace")
 
 
 def _snap(core):
@@ -42,7 +44,7 @@ def _snap(core):
 
 
 def _run_source(source, engine, mode=Mode.CA, pre=None):
-    core = AvrCore(ProgramMemory(), mode=mode, engine=engine)
+    core = make_core(engine, mode=mode)
     assemble(source).load_into(core.program)
     if pre is not None:
         pre(core)
@@ -66,8 +68,8 @@ class TestTraceKernelParity:
     def test_ladder_three_way(self, mode):
         outputs = []
         for engine in ENGINES:
-            kernel = LadderKernel(CONSTANTS, mode, scalar_bytes=2,
-                                  engine=engine)
+            kernel = build(LadderKernel, CONSTANTS, mode, scalar_bytes=2,
+                           tier=engine)
             result = kernel.run(0xB6C3, 0x1234)
             core = kernel.core
             outputs.append((result, core.sreg.value,
@@ -91,8 +93,8 @@ class TestTraceKernelParity:
         a, b = 123456789, 987654321
         snaps = []
         for engine in ENGINES:
-            runner = KernelRunner(source, mode, hazard_policy=policy,
-                                  engine=engine)
+            runner = build(KernelRunner, source, mode,
+                           hazard_policy=policy, tier=engine)
             result, cycles = runner.run(a, b)
             snaps.append((result, cycles, _snap(runner.core)))
         assert snaps[0] == snaps[1] == snaps[2], label
@@ -304,7 +306,7 @@ class TestTraceInvalidation:
     def test_prearmed_watchpoint_routes_to_watched_stepping(self):
         hits = []
         for engine in ENGINES:
-            core = AvrCore(ProgramMemory(), engine=engine)
+            core = make_core(engine)
             assemble(self.LOOP).load_into(core.program)
             core.watchpoints.add(0x10)  # r16's data-space address
             core.run()

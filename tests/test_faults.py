@@ -3,13 +3,13 @@
 Covers the spec taxonomy and its validation, seeded campaign generation,
 the precise semantics of each injection kind on a directed program, and —
 the load-bearing property — that an injected fault trace is architecturally
-identical under the reference interpreter and the block-compiling fast
-engine.
+identical under the reference interpreter, the block-compiling fast engine
+and the superblock dispatcher.
 """
 
 import pytest
 
-from repro.avr import AvrCore, Mode, ProgramMemory, assemble
+from repro.avr import Mode, assemble
 from repro.avr.profiler import Profiler
 from repro.faults import (
     FaultInjector,
@@ -20,6 +20,8 @@ from repro.faults import (
     generate_faults,
     generate_ladder_faults,
 )
+
+from iss_tiers import TIERS, build, make_core
 
 #: r16 accumulates 40 ones; the sum is stored then the core halts.
 #: CA timing: 2 cycles of ldi, then 1 cycle per add — the add finishing
@@ -36,9 +38,8 @@ _SUM_PROGRAM = (
 _RESULT_ADDR = 0x0100
 
 
-def _fresh(engine="reference"):
-    core = AvrCore(ProgramMemory(), mode=Mode.CA, sram_size=1024,
-                   engine=engine)
+def _fresh(tier="reference"):
+    core = make_core(tier, mode=Mode.CA, sram_size=1024)
     assemble(_SUM_PROGRAM).load_into(core.program)
     return core
 
@@ -195,7 +196,7 @@ class TestInjectorSemantics:
 
 
 class TestEngineParity:
-    """The same fault trace must be bit-identical across engines."""
+    """The same fault trace must be bit-identical across tiers."""
 
     @pytest.mark.parametrize("spec", [
         FaultSpec(cycle=12, target="reg", kind="bitflip", address=16,
@@ -207,16 +208,17 @@ class TestEngineParity:
     ])
     def test_directed_program_parity(self, spec):
         outcomes = {}
-        for engine in ("reference", "fast"):
-            core = _fresh(engine)
+        for tier in TIERS:
+            core = _fresh(tier)
             err = None
             try:
                 log = FaultInjector(core, [spec]).run()
                 landed = (log[0].pc, log[0].cycle, log[0].applied)
             except Exception as exc:
                 landed, err = None, type(exc).__name__
-            outcomes[engine] = (_state(core), landed, err)
+            outcomes[tier] = (_state(core), landed, err)
         assert outcomes["reference"] == outcomes["fast"]
+        assert outcomes["reference"] == outcomes["trace"]
 
     def test_ladder_kernel_parity(self):
         from repro.curves.params import MONTGOMERY_GX, OPF_K, OPF_U
@@ -225,15 +227,16 @@ class TestEngineParity:
         spec = FaultSpec(cycle=150_000, target="sram", kind="bitflip",
                          address=0x0240 + 3, bit=2)
         outcomes = {}
-        for engine in ("reference", "fast"):
-            kernel = LadderKernel(constants, Mode.CA, scalar_bytes=1,
-                                  engine=engine)
+        for tier in TIERS:
+            kernel = build(LadderKernel, constants, Mode.CA, scalar_bytes=1,
+                           tier=tier)
             kernel.load_operands(0xB5, MONTGOMERY_GX)
             log = FaultInjector(kernel.core, [spec],
                                 max_steps=2_000_000).run()
-            outcomes[engine] = (kernel.output_state(), kernel.core.cycles,
-                                log[0].pc, log[0].cycle)
+            outcomes[tier] = (kernel.output_state(), kernel.core.cycles,
+                              log[0].pc, log[0].cycle)
         assert outcomes["reference"] == outcomes["fast"]
+        assert outcomes["reference"] == outcomes["trace"]
 
 
 class TestPyFaults:
