@@ -14,12 +14,15 @@ test-bench:
 bench:
 	$(PYTHON) -m repro bench
 
+# ISS rows on the reduced set; enforces the ISS floors (median of five
+# alternating rounds) and appends nothing.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke
 
-# Fresh smoke run vs the last committed BENCH_iss.json record; exits
-# non-zero on a >30% throughput regression or a trace/fast ladder
-# speedup below TRACE_MIN_SPEEDUP (writes nothing).
+# Fresh smoke runs of both families vs the last committed BENCH_iss.json
+# and BENCH_serve.json records; exits non-zero on a >30% (ISS) / >50%
+# (serve) throughput regression or any floor of the floor table that
+# does not hold (writes nothing).
 bench-check:
 	$(PYTHON) -m repro bench --check
 
@@ -74,16 +77,15 @@ docs-check:
 # against a 1-process (in-process) server and a fresh 2-process cluster
 # — zero errors and a byte-stable JSONL summary under the fixed seed
 # (each --check runs the stream twice and compares bytes) — then the
-# serving benchmark, which enforces its floors (fixed-base >=1.5x,
-# served >=2x, traced:untraced >=0.70, 2-process:1-process >=1.5x,
-# named:inline >=0.6, quota shed >=0.2) without touching the committed
-# BENCH_serve.json.
+# serving benchmark, which enforces the serve rows of the floor table
+# (repro.analysis.bench.FLOORS; each floor the median of five
+# alternating rounds) and appends nothing.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --workers 1 --n 200 --seed 7 --check \
 	    --out /dev/null
 	$(PYTHON) -m repro loadgen --workers 2 --n 200 --seed 7 --check \
 	    --out /dev/null
-	$(PYTHON) -m repro loadgen --bench --smoke --bench-output none
+	$(PYTHON) -m repro bench --serve --smoke
 
 # Scale-out gate (DESIGN.md §8 "Scale-out"): the deterministic --check
 # stream against a fresh cluster of 2 serving processes (port-per-

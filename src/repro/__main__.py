@@ -7,12 +7,14 @@
     python -m repro table2 --source measured   # price with our kernels
     python -m repro bench             # ISS throughput (superblock and
                                       # basic-block tiers vs reference)
-    python -m repro bench --smoke     # ~30 s benchmark subset
-    python -m repro bench --check     # compare fresh smoke runs (ISS and,
-                                      # when BENCH_serve.json exists,
-                                      # serving) against the last committed
-                                      # records; exits non-zero on a
-                                      # regression beyond tolerance
+                                      # -> BENCH_iss.json
+    python -m repro bench --serve     # serving legs -> BENCH_serve.json
+    python -m repro bench --smoke     # reduced rows, appends nothing;
+                                      # every run enforces the floor table
+    python -m repro bench --check     # fresh smoke runs of both families
+                                      # vs the last committed records;
+                                      # exits non-zero on a regression
+                                      # beyond tolerance or a failed floor
     python -m repro profile mul --mode ise     # Fig.-1-style breakdown
     python -m repro profile ladder --format chrome --out trace.json
     python -m repro profile scalarmult --format jsonl
@@ -34,14 +36,12 @@
                                       # trace every request; dump the
                                       # slowest trees as Chrome JSON
     python -m repro serve --workers 4 # scale-out: four serving
-                                      # processes on one port
-                                      # (SO_REUSEPORT or a round-robin
-                                      # redirector), comb tables built
-                                      # once before the fork
+                                      # processes on one SO_REUSEPORT
+                                      # port, comb tables built once
+                                      # before the fork
     python -m repro loadgen --workers 1 --n 200 --seed 7 --check
-                                      # deterministic load generator;
-                                      # --bench appends BENCH_serve.json
-                                      # and enforces the speedup floors
+                                      # deterministic load generator:
+                                      # byte-identical JSONL across runs
     python -m repro loadgen --workers 2 --connections 8 --n 200
                                       # high-concurrency mode against a
                                       # fresh 2-process cluster
@@ -68,7 +68,8 @@ from typing import Dict, List, Tuple
 #: an entry here updates the CLI help in the same change.
 SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "bench": ("repro.analysis.bench",
-              "ISS throughput benchmarks; --check adds the serving gate"),
+              "ISS throughput and (--serve) serving benchmarks, one "
+              "floor table; --check gates both"),
     "profile": ("repro.analysis.profile",
                 "compiled-speed ISS profiling and span tracing"),
     "faults": ("repro.analysis.faults",
@@ -80,7 +81,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "serve": ("repro.serve.server",
               "ECC service over NDJSON/TCP; --workers scales out"),
     "loadgen": ("repro.serve.loadgen",
-                "deterministic load generator + serving benchmark"),
+                "deterministic load generator"),
 }
 
 

@@ -1,31 +1,43 @@
-"""Parallel ISS benchmark harness: ``python -m repro bench``.
+"""One in-tree benchmark harness: ``python -m repro bench``.
 
-Measures simulator *throughput* (simulated instructions per host second)
-for the paper's kernels on all three execution tiers — the ``step()``
-reference interpreter, the superblock :class:`~repro.avr.trace.TraceEngine`
-that ``AvrCore.run()`` dispatches to by default, and the block-compiling
-:class:`~repro.avr.engine.FastEngine` rung beneath it, which the ``fast``
-rows drive directly through ``AvrCore.fast_engine`` — and records the
-per-kernel speedups (fast/reference, trace/reference and trace/fast).
-The matrix (kernel x mode x engine) fans out across worker processes; each worker
-owns its own :class:`~repro.kernels.runner.KernelRunner` so entries are
-fully independent.
+Two row families share one run-record schema, one floor table
+(:data:`FLOORS`), one floor checker (:func:`check_floors`), one renderer
+and one baseline comparison:
 
-Results append to ``BENCH_iss.json`` (a list of run records, schema
-below); the benchmark-throughput test validates the schema and asserts
-the recorded speedup stays above :data:`ENGINE_MIN_SPEEDUP`.  The engine
-architecture being measured is documented in DESIGN.md §4 "Execution
-engines".
+* **ISS throughput** (the default; ``BENCH_iss.json``): simulated
+  instructions per host second for the paper's kernels on all three
+  execution tiers — the ``step()`` reference interpreter, the superblock
+  :class:`~repro.avr.trace.TraceEngine` that ``AvrCore.run()`` dispatches
+  to by default, and the block-compiling
+  :class:`~repro.avr.engine.FastEngine` rung beneath it, which the
+  ``fast`` rows drive directly through ``AvrCore.fast_engine`` — and the
+  per-kernel speedups (fast/reference, trace/reference and trace/fast).
+* **serving** (``--serve``; ``BENCH_serve.json``): the execution paths,
+  scale-out and tenancy legs of :mod:`repro.serve.loadgen`, whose
+  ``ips`` is operations per second.
+
+Rows run one at a time in this process, so a row's throughput never
+depends on which other row shares the host.  Rows come in groups; a
+group whose ratios feed a floor runs :data:`ROUNDS` rounds with its
+legs in forward order on even rounds and reversed on odd ones, so each
+ratio of two legs sees both orders.  The record keeps each leg's
+median-throughput round and each ratio's median over the rounds.
+
+Every fresh record — full, smoke or ``--check`` — goes through
+:func:`check_floors`, and a floor whose key is missing fails.  Only full
+runs append to the record file; smoke runs and ``--check`` write
+nothing.  The engine architecture being measured is documented in
+DESIGN.md §4 "Execution engines", the serving stack in §8.
 
 Run-record schema (``schema == 1``)::
 
     {
       "schema": 1,
       "timestamp": "2026-08-05T12:00:00+00:00",
-      "label": "full" | "smoke" | <user label>,
+      "label": "full" | "smoke" | "serve" | "serve-smoke" | <user label>,
       "python": "3.11.x",
       "platform": "Linux-...",
-      "jobs": 2,
+      "jobs": 1,
       "entries": [
         {"name": "opf_mul_mac/ISE/fast", "family": "field",
          "kernel": "opf_mul_mac", "mode": "ISE", "engine": "fast",
@@ -38,7 +50,8 @@ Run-record schema (``schema == 1``)::
 
 ``ips`` is simulated instructions retired per host wall-clock second;
 ``instructions`` / ``cycles_per_run`` are per-rep and deterministic, so
-they double as a cross-engine consistency check.
+they double as a cross-engine consistency check.  ``jobs`` is always 1
+now; records from the parallel harness carry their worker count.
 """
 
 from __future__ import annotations
@@ -49,10 +62,12 @@ import json
 import os
 import platform
 import re
+import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..avr.timing import Mode
 from ..kernels import (
@@ -65,22 +80,191 @@ from ..kernels import (
     generate_opf_mul_mac,
 )
 
-#: Minimum fast/reference speedup the repository guarantees (and the test
-#: suite asserts) on the ISE multiplication kernel.  Measured runs land at
-#: ~10x on an otherwise idle host (see BENCH_iss.json); the floor is set
-#: well below that so shared-CI timing noise cannot fail a correct build.
-ENGINE_MIN_SPEEDUP = 3.0
 
-#: Minimum trace/fast speedup the repository guarantees on the full
-#: scalar multiplication (``ladder_xz/ISE``) — the superblock tier's
-#: headline number.  Measured runs land at ~3.5x (see BENCH_iss.json);
-#: ``bench --check`` enforces this floor on its fresh smoke run, and the
-#: ratio is host-load-resistant because both engines share the run's
-#: conditions.
-TRACE_MIN_SPEEDUP = 2.5
+# -- the floor table ---------------------------------------------------------
 
-#: Default output file, at the repository root by convention.
-DEFAULT_OUTPUT = "BENCH_iss.json"
+
+@dataclass(frozen=True)
+class Floor:
+    """A guaranteed lower bound on one ``speedups`` value of a record.
+
+    The row applies when ``min_cpus <= os.cpu_count() <= max_cpus``
+    (no upper bound when ``max_cpus`` is None).
+    """
+
+    family: str
+    key: str
+    floor: float
+    min_cpus: int = 1
+    max_cpus: Optional[int] = None
+
+    def applies(self, cpus: int) -> bool:
+        return self.min_cpus <= cpus and (
+            self.max_cpus is None or cpus <= self.max_cpus)
+
+
+#: Every floor the repository guarantees, and the only place their
+#: values live.  Each is a ratio of two legs of the same run (or, for the
+#: quota leg, a count), so host speed cancels out; every value sits well
+#: below what an idle host measures, so timing noise cannot fail a
+#: correct build.
+FLOORS: Tuple[Floor, ...] = (
+    # fast/reference on the ISE multiplication kernel (measured ~10x).
+    Floor("iss", "opf_mul_mac/ISE", 3.0),
+    # trace/fast on the full scalar multiplication: the superblock
+    # tier's headline number (measured ~3.5-5x).
+    Floor("iss", "ladder_xz/ISE/trace_vs_fast", 2.5),
+    # Comb tables vs variable-base NAF, one keygen at a time.
+    Floor("serve", "keygen/secp160r1/fixedbase:direct", 1.5),
+    # The pipelined in-process server vs one request at a time: carried
+    # by the fixed-base win, not parallelism, so it holds on one core.
+    Floor("serve", "keygen/secp160r1/served:direct", 2.0),
+    # The tracing hot-path guard: traced vs untraced served throughput.
+    Floor("serve", "keygen/secp160r1/served_traced:served", 0.70),
+    # Scale-out where there are cores to scale onto; on one core, two
+    # processes cannot outrun one and the row only guards against the
+    # fan-out collapsing throughput.
+    Floor("serve", "mixed/secp160r1/shard2:shard1", 1.5, min_cpus=2),
+    Floor("serve", "mixed/secp160r1/shard2:shard1", 0.6, max_cpus=1),
+    # Named-key vs inline-key signing at the same process count: auth,
+    # token bucket, generation pin and key resolution, no extra curve
+    # arithmetic.
+    Floor("serve", "ecdsa/secp160r1/named_shard1:inline_shard1", 0.6),
+    Floor("serve", "ecdsa/secp160r1/named_shard2:inline_shard2", 0.6),
+    # A stream several times over its tenant's budget must get shed with
+    # QuotaExceeded: a bucket that admits everything is a bug.
+    Floor("serve", "named/quota_shed_fraction", 0.2),
+)
+
+
+#: The fast/reference floor on the ISE multiplication kernel.
+ENGINE_MIN_SPEEDUP = next(f.floor for f in FLOORS
+                          if f.key == "opf_mul_mac/ISE")
+
+#: Rounds a floor-feeding row group runs; its floors read the median.
+ROUNDS = 5
+
+#: Record file per family, at the repository root by convention.
+OUTPUTS = {"iss": "BENCH_iss.json", "serve": "BENCH_serve.json"}
+DEFAULT_OUTPUT = OUTPUTS["iss"]
+
+#: Throughput-regression tolerance of ``--check``: a fresh smoke entry
+#: may fall this far below the last committed record before the check
+#: fails.  Generous on purpose — shared hosts jitter; a real engine
+#: regression (a de-optimised block compiler) loses far more than 30%.
+CHECK_THRESHOLD = 0.30
+
+#: Per-family ``--check`` tolerance.  Serve throughput wobbles more than
+#: the ISS rows (process startup, client scheduling), so its tolerance
+#: is looser.
+_THRESHOLDS = {"iss": CHECK_THRESHOLD, "serve": 0.50}
+
+#: How each family's ``ips`` is displayed: (unit, divisor).
+_UNITS = {"iss": ("Mips", 1e6), "serve": ("ops/s", 1.0)}
+
+
+def _family(record: Dict[str, Any]) -> str:
+    """``"serve"`` for a serving record, else ``"iss"``."""
+    return ("serve" if record["entries"][0]["family"] == "serve"
+            else "iss")
+
+
+def check_floors(record: Dict[str, Any],
+                 cpus: Optional[int] = None) -> List[Dict[str, Any]]:
+    """One verdict per floor of the record's family that applies on
+    *cpus* (default ``os.cpu_count()``):
+    ``{"key", "floor", "reading", "ok"}``.  A missing key reads ``None``
+    and fails."""
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    family = _family(record)
+    verdicts = []
+    for row in FLOORS:
+        if row.family != family or not row.applies(cpus):
+            continue
+        reading = record["speedups"].get(row.key)
+        verdicts.append({"key": row.key, "floor": row.floor,
+                         "reading": reading,
+                         "ok": reading is not None
+                         and reading >= row.floor})
+    return verdicts
+
+
+def _floors_hold(record: Dict[str, Any]) -> bool:
+    return all(v["ok"] for v in check_floors(record))
+
+
+def _verdict_lines(record: Dict[str, Any]) -> List[str]:
+    lines = [f"floors ({os.cpu_count() or 1} cpus):"]
+    for v in check_floors(record):
+        if v["reading"] is None:
+            lines.append(f"  {v['key']:<44}missing        FAIL")
+            continue
+        op, verdict = (">=", "OK") if v["ok"] else ("<", "FAIL")
+        lines.append(f"  {v['key']:<44}{v['reading']:>6.2f}x {op} "
+                     f"{v['floor']:.2f}x  {verdict}")
+    return lines
+
+
+# -- measuring ---------------------------------------------------------------
+
+#: A row group: thunks that each measure one leg to an entry, and how
+#: many rounds to run them.
+Group = Tuple[Sequence[Callable[[], Dict[str, Any]]], int]
+
+
+def measure(groups: Sequence[Group],
+            speedups_of: Callable[[Sequence[Dict[str, Any]]],
+                                  Dict[str, float]]
+            ) -> Tuple[List[Dict[str, Any]], Dict[str, float]]:
+    """Run *groups* one leg at a time; return ``(entries, speedups)``.
+
+    Round *r* of a group runs its legs forward when *r* is even and
+    reversed when odd.  Each leg contributes its median-``ips`` round;
+    each ratio *speedups_of* derives from a group's legs reads its
+    median over the rounds, and ratios across groups read the median
+    entries.
+    """
+    entries: List[Dict[str, Any]] = []
+    readings: Dict[str, List[float]] = {}
+    for legs, rounds in groups:
+        runs: List[List[Dict[str, Any]]] = [[] for _ in legs]
+        for r in range(rounds):
+            order = range(len(legs)) if r % 2 == 0 \
+                else reversed(range(len(legs)))
+            for i in order:
+                runs[i].append(legs[i]())
+            latest = [leg_runs[-1] for leg_runs in runs]
+            for key, value in speedups_of(latest).items():
+                readings.setdefault(key, []).append(value)
+        for leg_runs in runs:
+            ranked = sorted(leg_runs, key=lambda e: e["ips"])
+            entries.append(ranked[(len(ranked) - 1) // 2])
+    speedups = speedups_of(entries)
+    speedups.update({key: statistics.median(values)
+                     for key, values in readings.items()})
+    return entries, speedups
+
+
+def make_record(entries: List[Dict[str, Any]], speedups: Dict[str, float],
+                label: str) -> Dict[str, Any]:
+    """A validated schema-1 run record."""
+    record = {
+        "schema": 1,
+        "timestamp": datetime.datetime.now(
+            datetime.timezone.utc).isoformat(timespec="seconds"),
+        "label": label,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "jobs": 1,
+        "entries": entries,
+        "speedups": speedups,
+    }
+    validate_run_record(record)
+    return record
+
+
+# -- the ISS rows ------------------------------------------------------------
 
 _GENERATORS = {
     "opf_add": generate_modadd,
@@ -92,39 +276,47 @@ _GENERATORS = {
 # The paper's 160-bit OPF: p = 65356 * 2^144 + 1.
 _CONSTANTS = dict(u=65356, k=144)
 
+#: Reps of the floor-feeding ISS rows, the same in smoke and full runs:
+#: on a 2-vCPU host each of these rows (all its timed loops) lasts at
+#: least 0.5 s.  The ladder's reference row feeds no floor and runs once.
+_MUL_MAC_REPS = 480
+_LADDER_REPS = {"fast": 1, "trace": 2}
 
-def _matrix(smoke: bool) -> List[Dict[str, Any]]:
-    """The benchmark fan-out: one spec dict per (kernel, mode, engine)."""
+
+def _groups(smoke: bool) -> List[Tuple[List[Dict[str, Any]], int]]:
+    """The ISS row groups: ``(specs, rounds)``, one spec per
+    (kernel, mode, engine) row."""
+
+    def field(kernel: str, mode: Mode, reps: int) -> List[Dict[str, Any]]:
+        return [{"family": "field", "kernel": kernel, "mode": mode.value,
+                 "engine": engine,
+                 "reps": reps if engine != "reference"
+                 else max(2, reps // 10)}
+                for engine in ("fast", "trace", "reference")]
+
+    def ladder(engine: str, reps: int) -> Dict[str, Any]:
+        return {"family": "curve", "kernel": "ladder_xz",
+                "mode": Mode.ISE.value, "engine": engine, "reps": reps}
+
     if smoke:
-        field = [("opf_mul_mac", Mode.ISE, 60),
-                 ("opf_mul_comba", Mode.CA, 40)]
+        others = [("opf_mul_comba", Mode.CA, 40)]
     else:
-        field = [("opf_add", Mode.CA, 600), ("opf_add", Mode.FAST, 600),
-                 ("opf_sub", Mode.CA, 600), ("opf_sub", Mode.FAST, 600),
-                 ("opf_mul_comba", Mode.CA, 250),
-                 ("opf_mul_comba", Mode.FAST, 250),
-                 ("opf_mul_mac", Mode.ISE, 400)]
-    specs: List[Dict[str, Any]] = []
-    for kernel, mode, reps in field:
-        for engine in ("fast", "trace", "reference"):
-            specs.append({
-                "family": "field", "kernel": kernel, "mode": mode.value,
-                "engine": engine,
-                "reps": reps if engine != "reference" else max(2, reps // 10),
-            })
+        others = [("opf_add", Mode.CA, 600), ("opf_add", Mode.FAST, 600),
+                  ("opf_sub", Mode.CA, 600), ("opf_sub", Mode.FAST, 600),
+                  ("opf_mul_comba", Mode.CA, 250),
+                  ("opf_mul_comba", Mode.FAST, 250)]
+    groups = [(field("opf_mul_mac", Mode.ISE, _MUL_MAC_REPS), ROUNDS)]
+    groups += [(field(kernel, mode, reps), 1)
+               for kernel, mode, reps in others]
     # The full scalar multiplication exercises call/ret, the bit-loop
-    # driver and long superblock chains; it is the headline number for
-    # the trace tier, so it runs warmed and multi-rep under every engine
-    # in both labels (the reference interpreter gets one rep — a single
+    # driver and long superblock chains: the headline number for the
+    # trace tier.  The reference interpreter gets one rep — a single
     # ladder costs seconds there, and the ips of one warmed full ladder
-    # is already stable at the millions-of-instructions scale).
-    for engine, reps in (("fast", 1 if smoke else 3),
-                         ("trace", 1 if smoke else 3),
-                         ("reference", 1)):
-        specs.append({"family": "curve", "kernel": "ladder_xz",
-                      "mode": Mode.ISE.value, "engine": engine,
-                      "reps": reps})
-    return specs
+    # is already stable at the millions-of-instructions scale.
+    groups.append(([ladder(engine, reps)
+                    for engine, reps in _LADDER_REPS.items()], ROUNDS))
+    groups.append(([ladder("reference", 1)], 1))
+    return groups
 
 
 def _engine(spec: Dict[str, Any]) -> str:
@@ -215,7 +407,7 @@ def _entry(spec: Dict[str, Any], per_run: int, cycles: int, reps: int,
 
 
 def bench_worker(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Top-level (picklable) worker: run one benchmark spec to an entry."""
+    """Measure one ISS row spec to an entry."""
     if spec["family"] == "curve":
         return _bench_ladder(spec)
     return _bench_field(spec)
@@ -227,7 +419,7 @@ def compute_speedups(entries: Sequence[Dict[str, Any]]) -> Dict[str, float]:
     ``"<kernel>/<mode>"`` is the historical fast/reference ratio;
     ``"<kernel>/<mode>/trace"`` is trace/reference and
     ``"<kernel>/<mode>/trace_vs_fast"`` trace/fast — the latter is the
-    number :data:`TRACE_MIN_SPEEDUP` gates on ``ladder_xz/ISE``.
+    number a :data:`FLOORS` row gates on ``ladder_xz/ISE``.
     """
     ips = {e["name"]: e["ips"] for e in entries}
     speedups: Dict[str, float] = {}
@@ -246,32 +438,27 @@ def compute_speedups(entries: Sequence[Dict[str, Any]]) -> Dict[str, float]:
     return speedups
 
 
-def run_bench(smoke: bool = False, jobs: Optional[int] = None,
+def run_bench(smoke: bool = False,
               label: Optional[str] = None) -> Dict[str, Any]:
-    """Execute the benchmark matrix in parallel; return one run record."""
-    specs = _matrix(smoke)
-    if jobs is None:
-        jobs = min(len(specs), os.cpu_count() or 1)
-    jobs = max(1, jobs)
-    if jobs == 1:
-        entries = [bench_worker(s) for s in specs]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(bench_worker, specs))
-    record = {
-        "schema": 1,
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-        "label": label or ("smoke" if smoke else "full"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "jobs": jobs,
-        "entries": entries,
-        "speedups": compute_speedups(entries),
-    }
-    validate_run_record(record)
-    return record
+    """Measure the ISS rows one at a time; return one run record."""
+    groups = [([partial(bench_worker, spec) for spec in specs], rounds)
+              for specs, rounds in _groups(smoke)]
+    entries, speedups = measure(groups, compute_speedups)
+    return make_record(entries, speedups,
+                       label or ("smoke" if smoke else "full"))
 
+
+def _fresh_record(family: str, smoke: bool,
+                  label: Optional[str] = None) -> Dict[str, Any]:
+    """Run one family's benchmark to a record."""
+    if family == "serve":
+        from ..serve import loadgen  # deferred: keeps the ISS side light
+
+        return loadgen.run_bench_serve(smoke=smoke, label=label)
+    return run_bench(smoke=smoke, label=label)
+
+
+# -- the record schema -------------------------------------------------------
 
 _ENTRY_FIELDS = {
     "name": str, "family": str, "kernel": str, "mode": str, "engine": str,
@@ -281,7 +468,7 @@ _ENTRY_FIELDS = {
 
 
 #: Execution paths a ``family: "serve"`` entry may carry (the serving
-#: benchmark of :mod:`repro.serve.loadgen`): the one-at-a-time baseline,
+#: legs of :mod:`repro.serve.loadgen`): the one-at-a-time baseline,
 #: the fixed-base comb path, the served pipeline (``served``; records
 #: from before inline execution carry ``pool<N>`` rows instead), the
 #: same with request tracing enabled (the tracing-overhead row), N
@@ -298,7 +485,7 @@ def validate_entry(entry: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless *entry* matches the schema-1 layout.
 
     Two entry families share the layout: ISS throughput entries
-    (``family`` "field"/"curve", engine fast/reference, mode an
+    (``family`` "field"/"curve", engine fast/trace/reference, mode an
     :class:`~repro.avr.timing.Mode`) and serving entries (``family``
     "serve", engine direct/fixedbase/served/..., mode a curve key, ``ips``
     measured in operations per second).
@@ -382,30 +569,26 @@ def measure_speedup(record: Dict[str, Any],
 
 
 def render(record: Dict[str, Any]) -> str:
-    lines = [f"ISS throughput ({record['label']}, jobs={record['jobs']}, "
-             f"python {record['python']})", ""]
-    lines.append(f"{'benchmark':<34}{'reps':>6}{'instr/run':>11}"
-                 f"{'wall s':>9}{'Mips':>8}")
-    lines.append("-" * 68)
+    """The rows, the speedups and the floor verdicts of one record."""
+    family = _family(record)
+    unit, scale = _UNITS[family]
+    title = "ISS throughput" if family == "iss" else "serving throughput"
+    lines = [f"{title} ({record['label']}, python {record['python']})", ""]
+    lines.append(f"{'row':<40}{'reps':>6}{'wall s':>9}{unit:>10}")
+    lines.append("-" * 65)
     for entry in record["entries"]:
-        lines.append(f"{entry['name']:<34}{entry['reps']:>6}"
-                     f"{entry['instructions']:>11}"
+        lines.append(f"{entry['name']:<40}{entry['reps']:>6}"
                      f"{entry['wall_s']:>9.2f}"
-                     f"{entry['ips'] / 1e6:>8.2f}")
-    if record["speedups"]:
-        lines.append("")
-        lines.append("engine speedups (bare key: fast/reference; /trace: "
-                     "trace/reference; /trace_vs_fast: trace/fast):")
-        for key in sorted(record["speedups"]):
-            lines.append(f"  {key:<40}{record['speedups'][key]:>6.1f}x")
+                     f"{entry['ips'] / scale:>10.2f}")
+    lines.append("")
+    lines.append("speedups (ISS: bare key fast/reference, /trace "
+                 "trace/reference, /trace_vs_fast trace/fast; serve: "
+                 "a:b is leg a over leg b):")
+    for key in sorted(record["speedups"]):
+        lines.append(f"  {key:<44}{record['speedups'][key]:>6.2f}x")
+    lines.append("")
+    lines.extend(_verdict_lines(record))
     return "\n".join(lines)
-
-
-#: Throughput-regression tolerance for ``--check``: a fresh smoke entry
-#: may fall this far below the last committed record before the check
-#: fails.  Generous on purpose — shared hosts jitter; a real engine
-#: regression (a de-optimised block compiler) loses far more than 30%.
-CHECK_THRESHOLD = 0.30
 
 
 def compare_records(fresh: Dict[str, Any], baseline: Dict[str, Any],
@@ -435,56 +618,55 @@ def compare_records(fresh: Dict[str, Any], baseline: Dict[str, Any],
     return rows
 
 
-def check_against_baseline(path: str = DEFAULT_OUTPUT,
-                           jobs: Optional[int] = None,
-                           threshold: float = CHECK_THRESHOLD) -> int:
-    """Run a fresh smoke benchmark and compare it to the last record at
-    *path*; returns a shell exit code (1 on any >threshold regression).
+def check_against_baseline(path: str = DEFAULT_OUTPUT, family: str = "iss",
+                           threshold: Optional[float] = None) -> int:
+    """Run a fresh smoke benchmark of *family*, compare it to the last
+    record at *path* and check its floors; returns a shell exit code (1
+    on any >threshold regression or failed floor).
 
     Nothing is appended to the record file — the check is read-only.
     """
+    if threshold is None:
+        threshold = _THRESHOLDS[family]
+    tag = f"bench --check ({family})"
     if not os.path.exists(path):
-        print(f"bench --check: no baseline at {path}; nothing to compare")
+        print(f"{tag}: no baseline at {path}; nothing to compare")
         return 1
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list) or not records:
-        print(f"bench --check: {path} holds no run records")
+        print(f"{tag}: {path} holds no run records")
         return 1
     baseline = records[-1]
     validate_run_record(baseline)
-    fresh = run_bench(smoke=True, jobs=jobs, label="check")
+    fresh = _fresh_record(family, smoke=True, label="check")
     rows = compare_records(fresh, baseline, threshold)
     if not rows:
-        print("bench --check: no overlapping benchmark names with the "
-              f"baseline ({baseline['label']} @ {baseline['timestamp']})")
+        print(f"{tag}: no overlapping benchmark names with the baseline "
+              f"({baseline['label']} @ {baseline['timestamp']})")
         return 1
-    print(f"bench --check vs {baseline['label']} run of "
-          f"{baseline['timestamp']} (tolerance -{threshold:.0%})\n")
-    print(f"{'benchmark':<34}{'baseline Mips':>14}{'fresh Mips':>12}"
+    unit, scale = _UNITS[family]
+    print(f"{tag} vs {baseline['label']} run of {baseline['timestamp']} "
+          f"(tolerance -{threshold:.0%})\n")
+    print(f"{'row':<40}{'baseline ' + unit:>15}{'fresh ' + unit:>13}"
           f"{'ratio':>8}")
-    print("-" * 68)
-    failed = False
+    print("-" * 76)
+    regressed = False
     for row in rows:
         flag = "  REGRESSED" if row["regressed"] else ""
-        failed = failed or row["regressed"]
-        print(f"{row['name']:<34}{row['baseline_ips'] / 1e6:>14.2f}"
-              f"{row['fresh_ips'] / 1e6:>12.2f}{row['ratio']:>8.2f}{flag}")
-    # The superblock tier carries its own absolute floor: the fresh smoke
-    # run's trace/fast ratio on the full ladder must hold the guaranteed
-    # speedup (a ratio of two same-run measurements, so host load cancels
-    # out and the generous throughput tolerance above does not apply).
-    trace_key = "ladder_xz/ISE/trace_vs_fast"
-    trace_ratio = fresh["speedups"].get(trace_key)
-    if trace_ratio is not None:
-        ok = trace_ratio >= TRACE_MIN_SPEEDUP
-        failed = failed or not ok
-        print(f"\n{trace_key}: {trace_ratio:.2f}x "
-              f"(floor {TRACE_MIN_SPEEDUP}x)"
-              + ("" if ok else "  REGRESSED"))
+        regressed = regressed or row["regressed"]
+        print(f"{row['name']:<40}{row['baseline_ips'] / scale:>15.2f}"
+              f"{row['fresh_ips'] / scale:>13.2f}{row['ratio']:>8.2f}"
+              f"{flag}")
     print()
-    print("FAIL: throughput regressed beyond tolerance" if failed
-          else "OK: throughput within tolerance of the last record")
+    print("\n".join(_verdict_lines(fresh)))
+    failed = regressed or not _floors_hold(fresh)
+    print()
+    print(f"{tag}: FAIL" + (": throughput regressed beyond tolerance"
+                            if regressed else ": a floor does not hold")
+          if failed else
+          f"{tag}: OK, throughput within tolerance of the last record "
+          "and every floor holds")
     return 1 if failed else 0
 
 
@@ -493,40 +675,49 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro bench",
         description="Benchmark ISS throughput (superblock dispatcher, "
                     "its basic-block rung and the reference interpreter) "
-                    "across kernels and modes in parallel.",
+                    "or, with --serve, the serving stack; enforce the "
+                    "floor table on every run.",
     )
+    parser.add_argument("--serve", action="store_true",
+                        help="the serving legs (keygen paths, 1/2(/4) "
+                             "serving processes, named vs inline keys, "
+                             f"quota shed) -> {OUTPUTS['serve']}")
     parser.add_argument("--smoke", action="store_true",
-                        help="~30 s subset (2 kernels, reduced reps)")
+                        help="the reduced row set; appends nothing")
     parser.add_argument("--check", action="store_true",
-                        help="run a fresh smoke benchmark and compare it "
-                             "against the last committed record; exit "
-                             "non-zero on a >30%% throughput regression "
-                             "(appends nothing)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: min(specs, cpus))")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help=f"run-record JSON file (default {DEFAULT_OUTPUT};"
-                             " 'none' disables writing; with --check this "
-                             "is the baseline to compare against)")
+                        help="run fresh smoke benchmarks of both families, "
+                             "compare each against the last record of its "
+                             "file and check the floors; exit non-zero if "
+                             "either fails (appends nothing)")
+    parser.add_argument("--output", default=None,
+                        help=f"run-record JSON file a full run appends to "
+                             f"(default {OUTPUTS['iss']}, or "
+                             f"{OUTPUTS['serve']} with --serve; 'none' "
+                             "disables writing)")
     parser.add_argument("--label", default=None,
                         help="free-form label stored in the run record")
     args = parser.parse_args(argv)
 
     if args.check:
-        path = DEFAULT_OUTPUT if args.output == "none" else args.output
-        status = check_against_baseline(path, jobs=args.jobs)
-        # The serving benchmark gates through the same command: when a
-        # BENCH_serve.json baseline is committed, a fresh smoke serving
-        # run must stay within its (looser) tolerance too.
-        from ..serve.loadgen import check_serve_against_baseline
-        print()
-        return status or check_serve_against_baseline()
-    record = run_bench(smoke=args.smoke, jobs=args.jobs, label=args.label)
+        if args.serve or args.smoke or args.output or args.label:
+            parser.error("--check compares both families against "
+                         f"{OUTPUTS['iss']} and {OUTPUTS['serve']}; it "
+                         "takes no other option")
+        statuses = []
+        for family, path in OUTPUTS.items():
+            statuses.append(check_against_baseline(path, family))
+            print()
+        return 1 if any(statuses) else 0
+    family = "serve" if args.serve else "iss"
+    record = _fresh_record(family, smoke=args.smoke, label=args.label)
     print(render(record))
-    if args.output != "none":
-        append_record(record, args.output)
-        print(f"\nappended run record to {args.output}")
-    return 0
+    output = args.output or OUTPUTS[family]
+    if args.smoke:
+        print("\nsmoke run: nothing appended")
+    elif output != "none":
+        append_record(record, output)
+        print(f"\nappended run record to {output}")
+    return 0 if _floors_hold(record) else 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ processes MUST call :meth:`MetricsRegistry.reset_for_fork` before doing
 any work (each serving process under the shard supervisor does).
 Nothing here is shared memory — aggregation across processes is
 explicit: the shard supervisor's stats board sums the snapshots each
-process publishes, and :meth:`MetricsRegistry.merge_counters` folds in
-another process's counter deltas.
+process publishes.
 """
 
 from __future__ import annotations
@@ -228,21 +227,6 @@ class MetricsRegistry:
         """Counter values only — the summable subset a process reports."""
         return {name: m.value for name, m in sorted(self._metrics.items())
                 if isinstance(m, Counter)}
-
-    def merge_counters(self, deltas: Dict[str, Number]) -> None:
-        """Fold counter *deltas* from another process into this registry.
-
-        Unknown names are registered on the fly; non-counter name
-        collisions raise (the same guarantee :meth:`counter` gives).
-        Negative deltas are rejected — a restarted reporter must
-        re-baseline, never subtract.
-        """
-        for name, delta in deltas.items():
-            if delta < 0:
-                raise ValueError(
-                    f"negative counter delta for {name!r}: {delta}")
-            if delta:
-                self.counter(name).inc(delta)
 
     def reset(self) -> None:
         """Zero every metric (tests; production code never resets)."""

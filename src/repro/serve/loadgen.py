@@ -10,8 +10,10 @@ runs with the same seed against a correct server produce identical
 bytes.  That property is the serve determinism gate (``--check`` runs
 the stream twice against fresh servers and compares).
 
-``--bench`` switches to the serving benchmark: keygen on secp160r1
-measured through four execution paths —
+The serving benchmark (``python -m repro bench --serve``) measures its
+legs here and hands :mod:`repro.analysis.bench` the entries and ratios;
+floors, rendering and the record file are that module's job.  The legs:
+keygen on secp160r1 through four execution paths —
 
 * ``direct``      one request at a time, variable-base NAF
                   double-and-add (the repository's pre-serve
@@ -31,32 +33,17 @@ client connections), and the tenancy legs of
 :mod:`repro.serve.keys` — ``ecdsa/secp160r1/inline_shard<N>`` vs
 ``named_shard<N>`` (the same ECDSA stream with inline private scalars
 vs server-resident named keys, per process count; their ratio is the
-named-key overhead, floored by ``REPRO_NAMED_MIN_RATIO``) and
-``ecdsa/secp160r1/quota`` (a deliberately over-budget tenant stream;
-the recorded ``named/quota_shed_fraction`` must clear
-``REPRO_QUOTA_SHED_MIN``, proving the token bucket actually sheds).
+named-key overhead) and ``ecdsa/secp160r1/quota`` (a deliberately
+over-budget tenant stream; its shed fraction proves the token bucket
+actually sheds).  Served entries also carry a ``latency_ms`` summary
+(count/mean/p50/p95/p99 of per-request accept-to-reply latency).
 
 ``--tenants N`` switches the normal run to named-key mode: the
 secret-bearing ops in the mix reference per-tenant server-resident
 keys (created by a deterministic setup phase before the clock starts)
 instead of carrying inline scalars, spread round-robin over N tenants.
 
-Results append to ``BENCH_serve.json`` using the run-record schema of
-:mod:`repro.analysis.bench` (``family: "serve"``; ``ips`` is operations
-per second).  Served entries also carry a ``latency_ms`` summary
-(count/mean/p50/p95/p99 of per-request accept-to-reply latency).
-Four floors gate the run (all env-overridable):
-``served/direct >= SERVE_MIN_SCALING``, ``fixedbase/direct >=
-FIXED_BASE_MIN_SPEEDUP``, ``served_traced/served >= TRACED_MIN_RATIO``
-(the tracing hot-path guard) and ``shard<N>/shard1 >=
-SHARD_MIN_SCALING`` — with two or more cores; a single-core host falls
-back to the ``SHARD_SINGLE_CORE_MIN`` anti-regression check, since
-parallel processes cannot outrun one process there.  The served
-floor is carried by the fixed-base algorithmic win (measured ~4-5x on
-secp160r1), not by parallelism — by design, so the gate is meaningful
-on any CI shape.
-
-``--trace`` turns on request tracing for the normal (non-bench) run:
+``--trace`` turns on request tracing for the run:
 every reply's trace id is joined into a cross-process span tree by
 :mod:`repro.obs.assemble`, the merged Chrome export is schema-checked,
 and ``--slowlog PATH`` dumps the slowest trees.  ``--scrape`` pulls the
@@ -67,14 +54,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import datetime
 import hashlib
 import json
-import os
-import platform
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import bench
 from ..curves.params import CurveSuite, make_suite
@@ -91,17 +76,8 @@ from .worker import WorkerState, derive_scalar, execute_request
 
 __all__ = [
     "DEFAULT_MIX",
-    "FIXED_BASE_MIN_SPEEDUP",
-    "NAMED_MIN_RATIO",
-    "QUOTA_SHED_MIN",
-    "SERVE_MIN_SCALING",
-    "SERVE_OUTPUT",
-    "SHARD_MIN_SCALING",
-    "SHARD_SINGLE_CORE_MIN",
-    "TRACED_MIN_RATIO",
     "build_key_setup",
     "build_requests",
-    "check_serve_against_baseline",
     "main",
     "parse_mix",
     "run_bench_serve",
@@ -120,50 +96,17 @@ LOADGEN_OPS = frozenset(
 DEFAULT_MIX = ("keygen:secp160r1=6,ecdsa_sign:secp160r1=2,"
                "schnorr_sign:secp160r1=1,scalarmult:secp160r1=1")
 
-#: Floor on served (pipelined, fixed-base) vs direct single-request
-#: throughput for keygen/secp160r1.
-SERVE_MIN_SCALING = float(os.environ.get("REPRO_SERVE_MIN_SCALING", "2.0"))
-
-#: Floor on the fixed-base comb speedup over variable-base NAF alone.
-FIXED_BASE_MIN_SPEEDUP = float(
-    os.environ.get("REPRO_FIXED_BASE_MIN_SPEEDUP", "1.5"))
-
-#: Floor on traced/untraced served throughput: the tracing hot-path
-#: guard.  A same-run ratio (not an absolute wall-clock) so it holds on
-#: any CI shape; measured ~0.9+ locally, the floor leaves headroom for
-#: noisy shared runners.
-TRACED_MIN_RATIO = float(os.environ.get("REPRO_SERVE_TRACED_MIN", "0.70"))
-
-#: Floor on multi-process vs one-process throughput (same run, mixed
-#: workload) — the scale-out gate.  Only meaningful where there are
-#: cores to scale onto; see :data:`SHARD_SINGLE_CORE_MIN`.
-SHARD_MIN_SCALING = float(os.environ.get("REPRO_SHARD_MIN_SCALING", "1.5"))
-
-#: On a single-core host more processes cannot beat one — the gate
-#: degrades to an anti-regression check: the supervisor/redirector
-#: fan-out must not *collapse* throughput below this fraction of the
-#: one-process figure.
-SHARD_SINGLE_CORE_MIN = float(
-    os.environ.get("REPRO_SHARD_SINGLE_CORE_MIN", "0.6"))
-
-#: Floor on named-key vs inline-key throughput at the same process
-#: count.  Named use adds admission work (auth, token bucket,
-#: generation pin) and a registry lookup, but no extra curve arithmetic —
-#: it must stay within striking distance of the inline path.
-NAMED_MIN_RATIO = float(os.environ.get("REPRO_NAMED_MIN_RATIO", "0.6"))
-
-#: Floor on the quota leg's shed fraction: a stream sized several times
-#: over its tenant's burst+rate budget must actually get the majority
-#: of itself shed with QuotaExceeded — a bucket that admits everything
-#: is a bug the throughput numbers would never catch.
-QUOTA_SHED_MIN = float(os.environ.get("REPRO_QUOTA_SHED_MIN", "0.2"))
-
-SERVE_OUTPUT = "BENCH_serve.json"
-
-#: Serve throughput wobbles more than the ISS microbenchmarks (process
-#: startup, client scheduling) — the regression gate is correspondingly
-#: loose.
-SERVE_CHECK_THRESHOLD = 0.50
+#: Sizes of the benchmark legs, fixed once for smoke and full runs.
+#: Every leg that feeds a floor lasts at least 0.5 s on a 2-vCPU host,
+#: where the fastest keygen leg (fixedbase) runs ~600-650 ops/s, the
+#: 2-process mixed leg ~750-900 ops/s and the 2-process signing legs
+#: ~800 ops/s.  The quota leg reads a shed count, not a rate: its
+#: stream arrives at once, so its size only sets how far over budget
+#: the tenant is.
+KEYGEN_N = 384
+MIXED_N = 600
+SIGN_N = 448
+QUOTA_N = 40
 
 
 # -- request synthesis -------------------------------------------------------
@@ -502,19 +445,17 @@ async def run_processes(requests: Sequence[Dict[str, Any]],
                         rate: float = 0.0,
                         fixed_base: bool = True,
                         warm: Sequence[str] = ("secp160r1",),
-                        reuseport: bool = False,
                         setup: Sequence[Dict[str, Any]] = (),
                         tenants_config: Optional[Dict[str, Any]] = None
                         ) -> Tuple[List[Dict[str, Any]], List[float], float]:
     """Drive the stream at a fresh cluster of *workers* serving
     processes (:mod:`repro.serve.shard`).
 
-    Defaults to port-per-process mode with the client round-robining
-    its connections across the processes' direct ports — deterministic
-    load placement, which is what the benchmark legs need (the kernel's
-    SO_REUSEPORT hashing assigns whole connections arbitrarily).  With
-    ``reuseport=True`` every connection goes to the one shared public
-    port instead.  ``connections`` defaults to ``4 * workers`` so each
+    The cluster runs in port-per-process mode and the client
+    round-robins its connections across the processes' direct ports —
+    deterministic load placement, which is what the benchmark legs need
+    (the kernel's SO_REUSEPORT hashing assigns whole connections
+    arbitrarily).  ``connections`` defaults to ``4 * workers`` so each
     process sees concurrent load.  A named-key *setup* phase is driven
     through process 0 only — the shared journal is what makes the keys
     visible to every other process, so this doubles as a live exercise
@@ -528,14 +469,11 @@ async def run_processes(requests: Sequence[Dict[str, Any]],
     config = ServeConfig(port=0, workers=workers, queue_depth=queue_depth,
                          fixed_base=fixed_base, warm_curves=tuple(warm),
                          tenants=tenants_config)
-    cluster = ShardCluster(config, reuseport=reuseport)
+    cluster = ShardCluster(config, reuseport=False)
     await cluster.start()
     try:
-        if reuseport:
-            targets = [(config.host, cluster.port)]
-        else:
-            targets = [(config.host, port)
-                       for port in cluster.shard_ports if port is not None]
+        targets = [(config.host, port)
+                   for port in cluster.shard_ports if port is not None]
         await _run_setup(targets[:1], setup)
         return await _drive(targets, requests, rate,
                             connections=connections)
@@ -605,116 +543,37 @@ def _assert_all_ok(replies: Sequence[Dict[str, Any]], what: str) -> None:
             f"{errors[0]['error']}")
 
 
-def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
-                    shard_counts: Optional[Sequence[int]] = None,
-                    label: Optional[str] = None) -> Dict[str, Any]:
-    """Measure the serving execution paths; return a schema-1 run record.
+def _on_cluster(requests: Sequence[Dict[str, Any]], workers: int,
+                setup: Sequence[Dict[str, Any]] = (),
+                tenants_config: Optional[Dict[str, Any]] = None):
+    return asyncio.run(run_processes(requests, workers=workers,
+                                     setup=setup,
+                                     tenants_config=tenants_config))
 
-    Covers the single-process paths (direct / fixedbase / served /
-    served_traced) on a keygen stream, then the scale-out legs
-    (``mixed/secp160r1/shard<N>``): the DEFAULT_MIX workload against a
-    fresh cluster of N serving processes in deterministic
-    port-per-process mode, with ``4 * N`` client connections.  Raises
-    ``RuntimeError`` on any error reply.  Floor checking is the
-    caller's job (:func:`main` gates on the record's speedups).
-    """
-    if n is None:
-        n = 64 if smoke else 192
-    if shard_counts is None:
-        shard_counts = (1, 2) if smoke else (1, 2, 4)
-    requests = build_requests(n, mix="keygen:secp160r1=1", seed=1601)
 
-    entries: List[Dict[str, Any]] = []
-    replies, wall = run_direct(requests, fixed_base=False)
-    _assert_all_ok(replies, "direct")
-    entries.append(_bench_entry("direct", n, wall))
-
-    replies, wall = run_direct(requests, fixed_base=True)
-    _assert_all_ok(replies, "fixedbase")
-    entries.append(_bench_entry("fixedbase", n, wall))
-
-    # The served leg and its traced twin: their ratio is the measured
-    # tracing overhead, floor-checked by check_floors.
-    for engine, tracing in (("served", False), ("served_traced", True)):
-        replies, lat, wall = asyncio.run(
-            run_served(requests, tracing=tracing))
+def _leg(kernel: str, engine: str, requests: Sequence[Dict[str, Any]],
+         drive) -> Callable[[], Dict[str, Any]]:
+    """A benchmark leg: *drive()* -> (replies, latencies, wall), every
+    reply must be ok."""
+    def leg() -> Dict[str, Any]:
+        replies, latencies, wall = drive()
         _assert_all_ok(replies, engine)
-        entries.append(_bench_entry(engine, n, wall, lat))
+        return _bench_entry(engine, len(requests), wall, latencies,
+                            kernel=kernel)
+    return leg
 
-    direct_ips = entries[0]["ips"]
-    speedups = {
-        f"keygen/secp160r1/{e['engine']}:direct": e["ips"] / direct_ips
-        for e in entries[1:]
-    }
-    served, traced = entries[-2:]
-    speedups["keygen/secp160r1/served_traced:served"] = (
-        traced["ips"] / served["ips"] if served["ips"] else 0.0)
 
-    # Scale-out legs: the mixed workload against fresh clusters of N
-    # serving processes, port-per-process + client round-robin for
-    # deterministic placement.  Sized so the 2-process side lasts at
-    # least 0.5 s on a 2-core host: shorter bursts read mostly
-    # scheduling noise.
-    n_shard = 600 if smoke else 1200
-    shard_requests = build_requests(n_shard, mix=DEFAULT_MIX, seed=1602)
-    shard_ips: Dict[int, float] = {}
-    for count in shard_counts:
-        replies, lat, wall = asyncio.run(run_processes(
-            shard_requests, workers=count))
-        _assert_all_ok(replies, f"shard{count}")
-        entry = _bench_entry(f"shard{count}", n_shard, wall, lat,
-                             kernel="mixed")
-        entries.append(entry)
-        shard_ips[count] = entry["ips"]
-    base_count = min(shard_counts) if shard_counts else None
-    if base_count is not None and shard_ips.get(base_count):
-        for count in shard_counts:
-            if count == base_count:
-                continue
-            speedups[f"mixed/secp160r1/shard{count}:shard{base_count}"] = (
-                shard_ips[count] / shard_ips[base_count])
-
-    # Tenancy legs (repro.serve.keys): the same ECDSA stream through a
-    # fresh cluster twice per process count — inline private scalars vs
-    # server-resident named keys over two tenants (setup through process
-    # 0; resolution everywhere else rides the shared journal).  Their
-    # ratio is the full cost of auth + token bucket + generation pin +
-    # key resolution.
-    n_sign = 12 if smoke else 24
+def _quota_leg() -> Dict[str, Any]:
+    """One tenant with a deliberately tiny budget (burst 8, 25/s) under
+    an open-loop stream several times that size.  The token bucket must
+    shed the overflow with typed QuotaExceeded replies — anything else
+    (Overloaded, errors) fails the run.  The entry carries the ``shed``
+    count."""
     sign_mix = "ecdsa_sign:secp160r1=1"
-    inline_requests = build_requests(n_sign, mix=sign_mix, seed=1603)
-    named_requests = build_requests(n_sign, mix=sign_mix, seed=1603,
-                                    tenants=2)
-    named_setup = build_key_setup(2, sign_mix, seed=1603)
-    for count in (1, 2):
-        replies, lat, wall = asyncio.run(run_processes(
-            inline_requests, workers=count))
-        _assert_all_ok(replies, f"inline_shard{count}")
-        inline = _bench_entry(f"inline_shard{count}", n_sign, wall, lat,
-                              kernel="ecdsa")
-        entries.append(inline)
-        replies, lat, wall = asyncio.run(run_processes(
-            named_requests, workers=count, setup=named_setup))
-        _assert_all_ok(replies, f"named_shard{count}")
-        named = _bench_entry(f"named_shard{count}", n_sign, wall, lat,
-                             kernel="ecdsa")
-        entries.append(named)
-        if inline["ips"]:
-            speedups[f"ecdsa/secp160r1/named_shard{count}:"
-                     f"inline_shard{count}"] = named["ips"] / inline["ips"]
-
-    # Quota-shed leg: one tenant with a deliberately tiny budget (burst
-    # 8, 25/s) under an open-loop stream several times that size.  The
-    # token bucket must shed the overflow with typed QuotaExceeded
-    # replies — anything else (Overloaded, errors) fails the run, and
-    # the recorded shed fraction is floor-checked.
-    n_quota = 40
-    quota_requests = build_requests(n_quota, mix=sign_mix, seed=1604,
-                                    tenants=1)
-    quota_setup = build_key_setup(1, sign_mix, seed=1604)
-    quota_config = {"t0": {"rate": 25.0, "burst": 8}}
+    requests = build_requests(QUOTA_N, mix=sign_mix, seed=1604, tenants=1)
     replies, lat, wall = asyncio.run(run_served(
-        quota_requests, setup=quota_setup, tenants_config=quota_config))
+        requests, setup=build_key_setup(1, sign_mix, seed=1604),
+        tenants_config={"t0": {"rate": 25.0, "burst": 8}}))
     shed = sum(1 for r in replies if not r["ok"]
                and r["error"]["type"] == "QuotaExceeded")
     stray = [r for r in replies if not r["ok"]
@@ -723,172 +582,99 @@ def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
         raise RuntimeError(
             f"quota leg: {len(stray)} non-QuotaExceeded errors, first: "
             f"{stray[0]['error']}")
-    entries.append(_bench_entry("quota", n_quota, wall, lat,
-                                kernel="ecdsa"))
-    speedups["named/quota_shed_fraction"] = shed / n_quota
-
-    record = {
-        "schema": 1,
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-        "label": label or ("serve-smoke" if smoke else "serve"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "jobs": max(shard_counts) if shard_counts else 1,
-        "entries": entries,
-        "speedups": speedups,
-    }
-    bench.validate_run_record(record)
-    return record
+    return dict(_bench_entry("quota", QUOTA_N, wall, lat, kernel="ecdsa"),
+                shed=shed)
 
 
-def render_serve(record: Dict[str, Any]) -> str:
-    lines = [f"serving throughput ({record['label']}; keygen legs "
-             f"n={record['entries'][0]['reps']}, shard legs run the "
-             "default mixed workload)", ""]
-    lines.append(f"{'path':<28}{'reps':>6}{'wall s':>9}{'ops/s':>10}")
-    lines.append("-" * 53)
-    for entry in record["entries"]:
-        lines.append(f"{entry['name']:<28}{entry['reps']:>6}"
-                     f"{entry['wall_s']:>9.2f}{entry['ips']:>10.1f}")
-    lines.append("")
-    lines.append("speedups (vs the direct path; shardN vs one process):")
-    for key in sorted(record["speedups"]):
-        lines.append(f"  {key:<40}{record['speedups'][key]:>6.2f}x")
-    return "\n".join(lines)
+#: The same-run ratios of the serving record: ``(leg, base engine)``
+#: reads as ``"<leg>:<base>"``, the leg's throughput over its base's.
+_RATIOS = (
+    ("keygen/secp160r1/fixedbase", "direct"),
+    ("keygen/secp160r1/served", "direct"),
+    ("keygen/secp160r1/served_traced", "direct"),
+    ("keygen/secp160r1/served_traced", "served"),
+    ("mixed/secp160r1/shard2", "shard1"),
+    ("mixed/secp160r1/shard4", "shard1"),
+    ("ecdsa/secp160r1/named_shard1", "inline_shard1"),
+    ("ecdsa/secp160r1/named_shard2", "inline_shard2"),
+)
 
 
-def check_floors(record: Dict[str, Any],
-                 scaling_floor: float = SERVE_MIN_SCALING,
-                 fixed_base_floor: float = FIXED_BASE_MIN_SPEEDUP,
-                 traced_floor: float = TRACED_MIN_RATIO,
-                 shard_floor: float = SHARD_MIN_SCALING,
-                 cpus: Optional[int] = None) -> int:
-    """Enforce the serve speedup floors; returns a shell exit code.
+def _speedups(entries: Sequence[Dict[str, Any]]) -> Dict[str, float]:
+    """The ratios of :data:`_RATIOS` whose legs are both in *entries*,
+    plus ``named/quota_shed_fraction`` when the quota leg is."""
+    by_name = {e["name"]: e for e in entries}
+    speedups: Dict[str, float] = {}
+    for name, base in _RATIOS:
+        leg = by_name.get(name)
+        den = by_name.get(f"{name.rsplit('/', 1)[0]}/{base}")
+        if leg and den and den["ips"]:
+            speedups[f"{name}:{base}"] = leg["ips"] / den["ips"]
+    quota = by_name.get("ecdsa/secp160r1/quota")
+    if quota:
+        speedups["named/quota_shed_fraction"] = quota["shed"] / quota["reps"]
+    return speedups
 
-    The shard floor compares multi-shard to one-shard throughput from
-    the same run and needs cores to be meaningful: with ``cpus`` (or
-    ``os.cpu_count()``) below 2, it degrades to the
-    :data:`SHARD_SINGLE_CORE_MIN` anti-regression check instead.
-    Records without shard legs (pre-scale-out history) skip the gate.
+
+def run_bench_serve(smoke: bool = False,
+                    label: Optional[str] = None) -> Dict[str, Any]:
+    """Measure the serving legs; return a schema-1 run record.
+
+    Groups, each run for :data:`~repro.analysis.bench.ROUNDS` rounds in
+    alternating order: the four keygen paths; the mixed workload against
+    fresh clusters of 1 and 2 serving processes (and 4 in a full run);
+    inline vs named-key ECDSA per process count; the quota leg.  Raises
+    ``RuntimeError`` on any error reply.  The floors are checked by
+    :mod:`repro.analysis.bench`.
     """
-    speedups = record["speedups"]
-    failed = False
-    fb = speedups.get("keygen/secp160r1/fixedbase:direct", 0.0)
-    if fb < fixed_base_floor:
-        print(f"FAIL: fixed-base speedup {fb:.2f}x is below the "
-              f"{fixed_base_floor:.2f}x floor")
-        failed = True
-    served_keys = [k for k in speedups
-                   if k.startswith("keygen/") and k.endswith(":direct")
-                   and "/fixedbase:" not in k and "_traced" not in k]
-    best_key = max(served_keys, key=lambda k: speedups[k], default=None)
-    if best_key is None or speedups[best_key] < scaling_floor:
-        got = speedups.get(best_key, 0.0) if best_key else 0.0
-        print(f"FAIL: served throughput scaling {got:.2f}x is below the "
-              f"{scaling_floor:.2f}x floor")
-        failed = True
-    # The tracing hot-path guard: traced throughput as a fraction of
-    # its untraced twin, from the same run.
-    for key in sorted(k for k in speedups
-                      if "_traced:" in k and not k.endswith(":direct")):
-        ratio = speedups[key]
-        if ratio < traced_floor:
-            print(f"FAIL: traced/untraced throughput ratio {ratio:.2f} "
-                  f"({key}) is below the {traced_floor:.2f} floor")
-            failed = True
-    # The scale-out gate: best multi-process/one-process ratio.
-    shard_keys = [k for k in speedups
-                  if k.startswith("mixed/secp160r1/shard")
-                  and ":shard" in k]
-    shard_note = ""
-    if shard_keys:
-        if cpus is None:
-            cpus = os.cpu_count() or 1
-        best_shard = max(speedups[k] for k in shard_keys)
-        if cpus >= 2:
-            if best_shard < shard_floor:
-                print(f"FAIL: shard scaling {best_shard:.2f}x is below "
-                      f"the {shard_floor:.2f}x floor ({cpus} cpus)")
-                failed = True
-            shard_note = (f", shards {best_shard:.2f}x >= "
-                          f"{shard_floor:.2f}x")
-        else:
-            # One core: parallel processes cannot outrun one; only
-            # guard against the fan-out collapsing throughput.
-            if best_shard < SHARD_SINGLE_CORE_MIN:
-                print(f"FAIL: single-core shard throughput ratio "
-                      f"{best_shard:.2f} is below the "
-                      f"{SHARD_SINGLE_CORE_MIN:.2f} anti-regression floor")
-                failed = True
-            shard_note = (f", shards {best_shard:.2f}x >= "
-                          f"{SHARD_SINGLE_CORE_MIN:.2f}x "
-                          "(single-core fallback)")
-    # The named-key overhead gate: named/inline throughput per process
-    # count must stay above NAMED_MIN_RATIO.  Records predating the key
-    # subsystem carry no such entries and skip the gate.
-    named_note = ""
-    named_keys = [k for k in speedups
-                  if "/named_shard" in k and ":inline_shard" in k]
-    if named_keys:
-        worst_key = min(named_keys, key=lambda k: speedups[k])
-        worst = speedups[worst_key]
-        if worst < NAMED_MIN_RATIO:
-            print(f"FAIL: named/inline throughput ratio {worst:.2f} "
-                  f"({worst_key}) is below the {NAMED_MIN_RATIO:.2f} "
-                  "floor")
-            failed = True
-        named_note = f", named {worst:.2f} >= {NAMED_MIN_RATIO:.2f}"
-    quota = speedups.get("named/quota_shed_fraction")
-    if quota is not None:
-        if quota < QUOTA_SHED_MIN:
-            print(f"FAIL: quota shed fraction {quota:.2f} is below the "
-                  f"{QUOTA_SHED_MIN:.2f} floor (the token bucket is not "
-                  "shedding)")
-            failed = True
-        named_note += f", quota shed {quota:.2f} >= {QUOTA_SHED_MIN:.2f}"
-    if not failed:
-        print(f"OK: fixed-base {fb:.2f}x >= {fixed_base_floor:.2f}x, "
-              f"served {speedups[best_key]:.2f}x >= {scaling_floor:.2f}x, "
-              f"traced ratio floors hold{shard_note}{named_note}")
-    return 1 if failed else 0
+    keygen = build_requests(KEYGEN_N, mix="keygen:secp160r1=1", seed=1601)
 
+    def direct(fixed_base: bool):
+        replies, wall = run_direct(keygen, fixed_base=fixed_base)
+        return replies, None, wall
 
-def check_serve_against_baseline(path: str = SERVE_OUTPUT,
-                                 threshold: float = SERVE_CHECK_THRESHOLD
-                                 ) -> int:
-    """Fresh smoke serve-bench vs the last committed BENCH_serve.json
-    record (read-only; called from ``python -m repro bench --check``)."""
-    if not os.path.exists(path):
-        print(f"serve --check: no baseline at {path}; skipping")
-        return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
-    if not isinstance(records, list) or not records:
-        print(f"serve --check: {path} holds no run records")
-        return 1
-    baseline = records[-1]
-    bench.validate_run_record(baseline)
-    fresh = run_bench_serve(smoke=True, label="check")
-    rows = bench.compare_records(fresh, baseline, threshold)
-    if not rows:
-        print("serve --check: no overlapping entries with the baseline")
-        return 1
-    print(f"serve --check vs {baseline['label']} run of "
-          f"{baseline['timestamp']} (tolerance -{threshold:.0%})\n")
-    print(f"{'path':<28}{'baseline ops/s':>15}{'fresh ops/s':>13}"
-          f"{'ratio':>8}")
-    print("-" * 64)
-    failed = False
-    for row in rows:
-        flag = "  REGRESSED" if row["regressed"] else ""
-        failed = failed or row["regressed"]
-        print(f"{row['name']:<28}{row['baseline_ips']:>15.1f}"
-              f"{row['fresh_ips']:>13.1f}{row['ratio']:>8.2f}{flag}")
-    print()
-    print("FAIL: serving throughput regressed beyond tolerance" if failed
-          else "OK: serving throughput within tolerance")
-    return 1 if failed else 0
+    keygen_legs = [
+        _leg("keygen", "direct", keygen, lambda: direct(False)),
+        _leg("keygen", "fixedbase", keygen, lambda: direct(True)),
+        _leg("keygen", "served", keygen,
+             lambda: asyncio.run(run_served(keygen))),
+        _leg("keygen", "served_traced", keygen,
+             lambda: asyncio.run(run_served(keygen, tracing=True))),
+    ]
+
+    # Scale-out: port-per-process clusters, client round-robin for
+    # deterministic placement.
+    mixed = build_requests(MIXED_N, mix=DEFAULT_MIX, seed=1602)
+    shard_legs = [
+        _leg("mixed", f"shard{count}", mixed,
+             partial(_on_cluster, mixed, count))
+        for count in ((1, 2) if smoke else (1, 2, 4))]
+
+    # Tenancy: the same ECDSA stream with inline private scalars vs
+    # server-resident named keys over two tenants (set up through
+    # process 0; resolution everywhere else rides the shared journal).
+    # Each tenant's burst covers the whole stream, so the named legs pay
+    # for auth and the token bucket without being shed (the quota leg
+    # measures shedding).
+    sign_mix = "ecdsa_sign:secp160r1=1"
+    inline = build_requests(SIGN_N, mix=sign_mix, seed=1603)
+    named = build_requests(SIGN_N, mix=sign_mix, seed=1603, tenants=2)
+    named_setup = build_key_setup(2, sign_mix, seed=1603)
+    named_config = {tenant: {"burst": SIGN_N} for tenant in ("t0", "t1")}
+    tenancy_groups = [
+        ([_leg("ecdsa", f"inline_shard{count}", inline,
+               partial(_on_cluster, inline, count)),
+          _leg("ecdsa", f"named_shard{count}", named,
+               partial(_on_cluster, named, count, setup=named_setup,
+                       tenants_config=named_config))],
+         bench.ROUNDS)
+        for count in (1, 2)]
+
+    groups = [(keygen_legs, bench.ROUNDS), (shard_legs, bench.ROUNDS),
+              *tenancy_groups, ([_quota_leg], bench.ROUNDS)]
+    entries, speedups = bench.measure(groups, _speedups)
+    return bench.make_record(entries, speedups,
+                             label or ("serve-smoke" if smoke else "serve"))
 
 
 # -- trace reporting ---------------------------------------------------------
@@ -945,8 +731,8 @@ def _parse_target(text: str) -> Tuple[str, int]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
-        description="Deterministic ECC-service load generator and "
-                    "serving benchmark.",
+        description="Deterministic ECC-service load generator (the "
+                    "serving benchmark is python -m repro bench --serve).",
     )
     parser.add_argument("--target", type=_parse_target, default=None,
                         help="host:port of a running server (default: "
@@ -985,24 +771,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="determinism gate: run the stream twice "
                              "against fresh servers, require zero errors "
                              "and identical summary bytes")
-    parser.add_argument("--bench", action="store_true",
-                        help="serving benchmark (direct / fixedbase / "
-                             "served / served_traced on keygen/secp160r1, "
-                             "1 / 2 / 4 serving processes on the mixed "
-                             "workload, named-key vs inline ECDSA legs "
-                             "and a quota-shed leg); appends to "
-                             "BENCH_serve.json and enforces the speedup "
-                             "floors")
-    parser.add_argument("--bench-output", default=SERVE_OUTPUT,
-                        help="run-record file for --bench (default "
-                             f"{SERVE_OUTPUT}; 'none' disables writing)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="with --bench: smaller rep count")
     parser.add_argument("--no-fixed-base", action="store_true",
                         help="disable fixed-base tables on the started "
                              "server(s) / direct path")
-    parser.add_argument("--label", default=None,
-                        help="free-form label stored in the bench record")
     parser.add_argument("--trace", action="store_true",
                         help="end-to-end request tracing: stamp every "
                              "request, join the cross-process span trees "
@@ -1016,16 +787,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "exposition through the wire after the run "
                              "and print it to stdout")
     args = parser.parse_args(argv)
-
-    if args.bench:
-        record = run_bench_serve(smoke=args.smoke, label=args.label)
-        print(render_serve(record))
-        print()
-        status = check_floors(record)
-        if args.bench_output != "none":
-            bench.append_record(record, args.bench_output)
-            print(f"appended run record to {args.bench_output}")
-        return status
 
     if args.duration is not None:
         if args.rate <= 0:

@@ -6,7 +6,7 @@ stage metered).  One serving process runs the whole pipeline on its own
 event loop; ``--workers N`` with N > 1 runs N of them behind one
 listening port under the supervisor of :mod:`repro.serve.shard`::
 
-    listen port (one process, or SO_REUSEPORT / redirector for N > 1)
+    listen port (one process, or SO_REUSEPORT for N > 1)
       |-- process 0 -----------------------------------------------------.
       |   accept -> decode -> admission -> [bounded queue] -> execute -> reply
       |               |          |               |              |
@@ -587,10 +587,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "requests inline (1 = this process alone; "
                              "N > 1 starts the supervisor: one port, "
                              "respawn, cluster stats)")
-    parser.add_argument("--no-reuseport", action="store_true",
-                        help="with --workers > 1: force the port-per-"
-                             "process supervisor + round-robin redirector "
-                             "even where SO_REUSEPORT is available")
     parser.add_argument("--queue-depth", type=int, default=128,
                         help="bounded queue size per process; beyond it "
                              "requests are shed with a typed Overloaded "
@@ -663,8 +659,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers > 1:
         from .shard import run_cluster
 
-        return run_cluster(config,
-                           reuseport=False if args.no_reuseport else None)
+        return run_cluster(config)
     try:
         return asyncio.run(_serve_forever(config))
     except KeyboardInterrupt:

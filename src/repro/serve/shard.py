@@ -19,17 +19,18 @@
 
 Two ingress modes:
 
-* **SO_REUSEPORT** (default where the platform has it): every shard
-  binds the same (host, port) and the kernel spreads incoming
-  connections across their accept queues.  The supervisor holds an
-  extra bound-but-never-listening socket on the port for the cluster's
-  lifetime, so the port survives even a moment where every shard is
-  mid-respawn and an ephemeral port (``--port 0``) cannot be stolen.
-* **Port-per-shard redirector** (``--no-reuseport``, or platforms
-  without the option): shards listen on their own ephemeral ports and
-  the supervisor runs a tiny round-robin TCP byte proxy on the public
-  port.  Deterministic connection placement makes this the mode the
-  benchmark legs use; production prefers SO_REUSEPORT (no extra hop).
+* **SO_REUSEPORT** (the default and the only mode ``serve`` uses):
+  every shard binds the same (host, port) and the kernel spreads
+  incoming connections across their accept queues.  The supervisor
+  holds an extra bound-but-never-listening socket on the port for the
+  cluster's lifetime, so the port survives even a moment where every
+  shard is mid-respawn and an ephemeral port (``--port 0``) cannot be
+  stolen.
+* **Port per process** (``ShardCluster(reuseport=False)``): each shard
+  listens on its own ephemeral port (:attr:`ShardCluster.shard_ports`)
+  and there is no public port.  Clients place their connections
+  themselves, which is what gives the loadgen's benchmark legs
+  deterministic placement.
 
 Each shard stamps ``shard="<i>"`` as a registry-wide metric label
 (:meth:`~repro.obs.metrics.MetricsRegistry.set_label`), so per-shard
@@ -62,7 +63,6 @@ __all__ = [
     "PUBLISH_INTERVAL",
     "ShardCluster",
     "StatsBoard",
-    "reuseport_available",
     "run_cluster",
 ]
 
@@ -73,20 +73,13 @@ _RESPAWNS = METRICS.counter(
 #: Seconds between a shard's periodic stats-board publications (each
 #: ``scope="cluster"`` request also publishes the answering shard
 #: fresh, so this only bounds the staleness of the *other* slots).
-PUBLISH_INTERVAL = float(
-    os.environ.get("REPRO_SHARD_PUBLISH_INTERVAL", "0.25"))
+PUBLISH_INTERVAL = 0.25
 
 #: Seconds the supervisor's monitor sleeps between liveness sweeps.
 _MONITOR_INTERVAL = 0.2
 
 #: Seconds to wait for a freshly spawned shard to report its port.
 _SPAWN_TIMEOUT = 60.0
-
-
-def reuseport_available() -> bool:
-    """Whether this platform can share one listening port across
-    processes (Linux/BSD yes; the fallback is the redirector)."""
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 # -- the cross-shard stats board ---------------------------------------------
@@ -291,25 +284,21 @@ class ShardCluster:
     """Supervisor of ``config.workers`` serving processes plus their
     shared state.
 
-    ``await start()`` warms the comb tables, creates the board, forks
-    the shards and (without SO_REUSEPORT) starts the redirector;
-    :attr:`port` is then the one public port.  ``await stop()`` tears
-    everything down and unlinks the board.  The respawn monitor keeps
+    ``await start()`` warms the comb tables, creates the board and
+    forks the shards; :attr:`port` is then the one public port (``None``
+    in port-per-process mode).  ``await stop()`` tears everything down
+    and unlinks the board.  The respawn monitor keeps
     :attr:`respawns` and the ``serve_shard_respawns_total`` counter.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
-                 *, reuseport: Optional[bool] = None, respawn: bool = True):
+                 *, reuseport: bool = True, respawn: bool = True):
         self.config = config or ServeConfig()
         shards = self.config.workers
         if shards < 1:
             raise ValueError("need at least one serving process")
         self.shards = shards
-        self.reuseport = (reuseport_available() if reuseport is None
-                          else reuseport)
-        if self.reuseport and not reuseport_available():
-            raise ValueError("SO_REUSEPORT is not available here; use "
-                             "reuseport=False (port-per-shard mode)")
+        self.reuseport = reuseport
         self.respawn_enabled = respawn
         self.port: Optional[int] = None
         #: Live per-shard listening ports (== [port]*N with reuseport).
@@ -320,9 +309,7 @@ class ShardCluster:
         self._procs: List[Optional[multiprocessing.Process]] = \
             [None] * shards
         self._reserve: Optional[socket.socket] = None
-        self._redirector: Optional[asyncio.AbstractServer] = None
         self._monitor: Optional[asyncio.Task] = None
-        self._rr = 0
         self._stopping = False
         self._journal_owned = False  # shared temp key journal to unlink
 
@@ -353,10 +340,6 @@ class ShardCluster:
             self.port = self._reserve.getsockname()[1]
         for index in range(self.shards):
             await self._spawn(index)
-        if not self.reuseport:
-            self._redirector = await asyncio.start_server(
-                self._redirect, cfg.host, cfg.port)
-            self.port = self._redirector.sockets[0].getsockname()[1]
         if self.respawn_enabled:
             self._monitor = asyncio.create_task(self._monitor_loop())
         return self
@@ -367,9 +350,6 @@ class ShardCluster:
             self._monitor.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._monitor
-        if self._redirector is not None:
-            self._redirector.close()
-            await self._redirector.wait_closed()
         loop = asyncio.get_running_loop()
         for proc in self._procs:
             if proc is not None and proc.is_alive():
@@ -444,8 +424,8 @@ class ShardCluster:
                            "its port")
 
     async def _monitor_loop(self) -> None:
-        """Respawn dead shards; the listener never drops meanwhile (the
-        reserve socket or the redirector holds the public port)."""
+        """Respawn dead shards; the public port never drops meanwhile
+        (the reserve socket holds it)."""
         while True:
             await asyncio.sleep(_MONITOR_INTERVAL)
             for index in range(self.shards):
@@ -463,74 +443,18 @@ class ShardCluster:
                     print(f"shard {index} respawn failed: {exc}",
                           file=sys.stderr)
 
-    # -- the port-per-shard redirector ---------------------------------------
 
-    async def _redirect(self, reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> None:
-        """Round-robin one inbound connection onto a live shard and pump
-        bytes both ways (protocol-agnostic: NDJSON framing passes
-        through untouched)."""
-        upstream = None
-        for _attempt in range(self.shards):
-            index = self._rr % self.shards
-            self._rr += 1
-            port = self.shard_ports[index]
-            if port is None:
-                continue
-            try:
-                upstream = await asyncio.open_connection(
-                    self.config.host, port)
-                break
-            except OSError:
-                continue  # dead shard mid-respawn: try the next one
-        if upstream is None:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            return
-        up_reader, up_writer = upstream
-
-        async def pump(src: asyncio.StreamReader,
-                       dst: asyncio.StreamWriter) -> None:
-            try:
-                while True:
-                    data = await src.read(65536)
-                    if not data:
-                        break
-                    dst.write(data)
-                    await dst.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            # Half-close so in-flight replies still drain the other way.
-            with contextlib.suppress(Exception):
-                if dst.can_write_eof():
-                    dst.write_eof()
-
-        try:
-            await asyncio.gather(pump(reader, up_writer),
-                                 pump(up_reader, writer))
-        except asyncio.CancelledError:
-            pass  # loop teardown mid-pump; finish cleanly, not cancelled
-        finally:
-            for w in (up_writer, writer):
-                w.close()
-                with contextlib.suppress(Exception):
-                    await w.wait_closed()
-
-
-def run_cluster(config: ServeConfig,
-                reuseport: Optional[bool] = None) -> int:
-    """Run a cluster of ``config.workers`` serving processes until
-    SIGINT/SIGTERM (the ``python -m repro serve --workers N`` path)."""
+def run_cluster(config: ServeConfig) -> int:
+    """Run a cluster of ``config.workers`` serving processes on one
+    SO_REUSEPORT port until SIGINT/SIGTERM (the ``python -m repro serve
+    --workers N`` path)."""
 
     async def _run() -> int:
-        cluster = ShardCluster(config, reuseport=reuseport)
+        cluster = ShardCluster(config)
         await cluster.start()
-        mode = ("SO_REUSEPORT" if cluster.reuseport
-                else "port-per-shard redirector")
         print(f"repro.serve supervisor listening on "
               f"{config.host}:{cluster.port} ({cluster.shards} serving "
-              f"processes, {mode})", flush=True)
+              "processes, SO_REUSEPORT)", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         with contextlib.suppress(NotImplementedError):

@@ -1,4 +1,5 @@
-"""The parallel benchmark harness: schema, wiring and the speedup floor."""
+"""The benchmark harness: schema, wiring, the floor table and its
+checker, rounds, and the record-file discipline."""
 
 import json
 import os
@@ -10,11 +11,14 @@ from repro.analysis.bench import (
     CHECK_THRESHOLD,
     DEFAULT_OUTPUT,
     ENGINE_MIN_SPEEDUP,
+    FLOORS,
     append_record,
     bench_worker,
     check_against_baseline,
+    check_floors,
     compare_records,
     compute_speedups,
+    measure,
     measure_speedup,
     render,
     run_bench,
@@ -22,6 +26,7 @@ from repro.analysis.bench import (
     validate_run_record,
 )
 from repro.avr.timing import Mode
+from repro.serve import loadgen
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,6 +50,28 @@ def _record(**overrides):
     }
     record.update(overrides)
     return record
+
+
+def _at_floors(family):
+    """Every floor key of *family* at the highest floor any of its rows
+    sets: passes on any cpu count."""
+    speedups = {}
+    for row in FLOORS:
+        if row.family == family:
+            speedups[row.key] = max(row.floor, speedups.get(row.key, 0.0))
+    return speedups
+
+
+def _fresh(ips=600000.0, **overrides):
+    """A fresh ISS record that clears every floor."""
+    return _record(**{"entries": [_entry(ips=ips)],
+                       "speedups": _at_floors("iss"), **overrides})
+
+
+def _serve_record(**overrides):
+    entry = loadgen._bench_entry("served", 64, 0.5)
+    return _record(**{"entries": [entry], "speedups": _at_floors("serve"),
+                      **overrides})
 
 
 class TestSchema:
@@ -181,18 +208,15 @@ class TestRegressionCheck:
     def test_check_passes_within_tolerance(self, tmp_path, monkeypatch,
                                            capsys):
         path = self._baseline_file(tmp_path)
-        monkeypatch.setattr(
-            bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=600000.0)]))
+        monkeypatch.setattr(bench_mod, "run_bench", lambda **kw: _fresh())
         assert check_against_baseline(path) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_fails_on_regression(self, tmp_path, monkeypatch,
                                        capsys):
         path = self._baseline_file(tmp_path)
-        monkeypatch.setattr(
-            bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=100000.0)]))
+        monkeypatch.setattr(bench_mod, "run_bench",
+                            lambda **kw: _fresh(ips=100000.0))
         assert check_against_baseline(path) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
@@ -211,11 +235,144 @@ class TestRegressionCheck:
                                                 monkeypatch, capsys):
         path = self._baseline_file(tmp_path)
         before = open(path).read()
-        monkeypatch.setattr(
-            bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=600000.0)]))
+        monkeypatch.setattr(bench_mod, "run_bench", lambda **kw: _fresh())
         check_against_baseline(path)
         assert open(path).read() == before
+
+    def test_check_fails_on_a_missed_floor(self, tmp_path, monkeypatch,
+                                           capsys):
+        path = self._baseline_file(tmp_path)
+        monkeypatch.setattr(bench_mod, "run_bench",
+                            lambda **kw: _fresh(speedups={}))
+        assert check_against_baseline(path) == 1
+        assert "missing" in capsys.readouterr().out
+
+    def test_iss_failure_still_runs_the_serve_check(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """``bench --check`` runs both families and prints both tables
+        even when the first one fails."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCH_iss.json").write_text(json.dumps([_record()]))
+        (tmp_path / "BENCH_serve.json").write_text(
+            json.dumps([_serve_record()]))
+        monkeypatch.setattr(bench_mod, "run_bench",
+                            lambda **kw: _fresh(ips=100000.0))
+        monkeypatch.setattr(loadgen, "run_bench_serve",
+                            lambda **kw: _serve_record())
+        assert bench_mod.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "bench --check (iss): FAIL" in out
+        assert "keygen/secp160r1/served" in out
+        assert "bench --check (serve): OK" in out
+
+    def test_check_takes_no_other_option(self):
+        with pytest.raises(SystemExit):
+            bench_mod.main(["--check", "--serve"])
+
+
+class TestFloorTable:
+    """Every row of FLOORS, read by the one checker."""
+
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["cpus1", "cpus4"])
+    @pytest.mark.parametrize("row", FLOORS, ids=[
+        row.key + ("" if row.min_cpus == 1 else f"@cpus>={row.min_cpus}")
+        + ("" if row.max_cpus is None else f"@cpus<={row.max_cpus}")
+        for row in FLOORS])
+    def test_row(self, row, cpus):
+        def verdicts(value):
+            speedups = _at_floors(row.family)
+            if value is None:
+                del speedups[row.key]
+            else:
+                speedups[row.key] = value
+            record = (_record(speedups=speedups) if row.family == "iss"
+                      else _serve_record(speedups=speedups))
+            return check_floors(record, cpus=cpus)
+
+        mine = [v["floor"] for v in verdicts(row.floor)
+                if v["key"] == row.key]
+        if not row.applies(cpus):
+            assert row.floor not in mine
+            return
+        assert mine == [row.floor]
+        assert all(v["ok"] for v in verdicts(row.floor))
+        below = [v for v in verdicts(row.floor * 0.999) if not v["ok"]]
+        assert [v["key"] for v in below] == [row.key]
+        missing = [v for v in verdicts(None) if not v["ok"]]
+        assert [(v["key"], v["reading"]) for v in missing] == [
+            (row.key, None)]
+
+    def test_render_prints_a_verdict_per_floor(self):
+        text = render(_fresh(speedups={"opf_mul_mac/ISE": 2.0}))
+        lines = text.splitlines()
+        floors = lines[lines.index(next(
+            line for line in lines if line.startswith("floors ("))) + 1:]
+        assert floors[0].split()[0] == "opf_mul_mac/ISE"
+        assert floors[0].endswith("FAIL")
+        assert floors[1].split()[:2] == ["ladder_xz/ISE/trace_vs_fast",
+                                         "missing"]
+
+
+class TestRounds:
+    def test_legs_alternate_and_ratios_read_the_median_round(self):
+        calls = []
+
+        def leg(name, values):
+            it = iter(values)
+
+            def run():
+                calls.append(name)
+                return {"name": name, "ips": next(it)}
+            return run
+
+        def ratio(entries):
+            ips = {e["name"]: e["ips"] for e in entries}
+            return {"a:b": ips["a"] / ips["b"]} if len(ips) == 2 else {}
+
+        entries, speedups = measure(
+            [([leg("a", [1.0, 9.0, 3.0, 4.0, 5.0]),
+               leg("b", [1.0, 1.0, 2.0, 1.0, 1.0])], 5),
+             ([leg("c", [7.0])], 1)], ratio)
+        assert calls == ["a", "b", "b", "a", "a", "b", "b", "a", "a", "b",
+                         "c"]
+        # Per-round a:b readings 1, 9, 1.5, 4, 5 -> median 4.
+        assert speedups == {"a:b": 4.0}
+        assert [e["ips"] for e in entries] == [4.0, 1.0, 7.0]
+
+
+class TestRecordFile:
+    """Only full runs append; smoke runs leave the file byte-identical."""
+
+    @pytest.fixture
+    def fakes(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "run_bench",
+                            lambda **kw: _fresh(label="fake"))
+        monkeypatch.setattr(loadgen, "run_bench_serve",
+                            lambda **kw: _serve_record(label="fake"))
+
+    @pytest.mark.parametrize("flags", [[], ["--serve"]],
+                             ids=["iss", "serve"])
+    def test_smoke_run_leaves_the_record_file_alone(self, tmp_path, fakes,
+                                                    flags):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps([_record()]))
+        before = path.read_bytes()
+        assert bench_mod.main(["--smoke", "--output", str(path)]
+                              + flags) == 0
+        assert path.read_bytes() == before
+
+    def test_full_run_appends(self, tmp_path, fakes):
+        path = tmp_path / "bench.json"
+        assert bench_mod.main(["--output", str(path)]) == 0
+        assert [r["label"] for r in json.loads(path.read_text())] == [
+            "fake"]
+
+    def test_failed_floor_fails_the_run(self, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr(bench_mod, "run_bench",
+                            lambda **kw: _fresh(speedups={}))
+        assert bench_mod.main(["--smoke"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestLiveThroughput:
@@ -249,16 +406,23 @@ class TestBenchSmoke:
     """Opt-in (--run-bench): the real harness end to end, ~30 s."""
 
     def test_smoke_run_produces_valid_record(self, tmp_path):
-        record = run_bench(smoke=True, jobs=1)
+        record = run_bench(smoke=True)
         validate_run_record(record)
         assert record["label"] == "smoke"
-        assert "opf_mul_mac/ISE" in record["speedups"]
+        assert record["jobs"] == 1
         assert record["speedups"]["opf_mul_mac/ISE"] >= ENGINE_MIN_SPEEDUP
         path = str(tmp_path / "smoke.json")
         append_record(record, path)
-        assert "fast-engine speedup" in render(record)
+        lines = render(record).splitlines()
+        verdicts = lines[[i for i, line in enumerate(lines)
+                          if line.startswith("floors (")][0] + 1:]
+        assert [line.split()[0] for line in verdicts] == [
+            "opf_mul_mac/ISE", "ladder_xz/ISE/trace_vs_fast"]
+        assert all(line.endswith("OK") for line in verdicts)
 
-    def test_parallel_jobs_path(self):
-        record = run_bench(smoke=True, jobs=2)
+    def test_serve_smoke_run_holds_its_floors(self):
+        record = loadgen.run_bench_serve(smoke=True)
         validate_run_record(record)
-        assert record["jobs"] == 2
+        assert record["label"] == "serve-smoke"
+        failed = [v for v in check_floors(record) if not v["ok"]]
+        assert not failed, failed

@@ -160,26 +160,6 @@ class TestCrossProcessMerge:
         reg.histogram("h").observe(1)
         assert reg.counters_snapshot() == {"c": 2}
 
-    def test_merge_counters_folds_deltas(self):
-        parent = MetricsRegistry()
-        parent.counter("reqs").inc(10)
-        parent.merge_counters({"reqs": 5, "new_metric": 3, "zero": 0})
-        snap = parent.counters_snapshot()
-        assert snap["reqs"] == 15
-        assert snap["new_metric"] == 3
-        assert "zero" not in snap  # zero deltas register nothing
-
-    def test_merge_rejects_negative_deltas(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="negative"):
-            reg.merge_counters({"reqs": -1})
-
-    def test_merge_respects_kind_guarantee(self):
-        reg = MetricsRegistry()
-        reg.gauge("g")
-        with pytest.raises(TypeError):
-            reg.merge_counters({"g": 1})
-
 
 class TestForkIsolation:
     def test_reset_for_fork_zeroes_and_restamps(self):

@@ -1,12 +1,12 @@
 """Load generator: deterministic streams, byte-stable summaries, the
-serve determinism gate, and the bench record schema."""
+serve determinism gate, and the serving legs' entries and ratios."""
 
 import asyncio
 import json
 
 import pytest
 
-from repro.analysis.bench import validate_entry, validate_run_record
+from repro.analysis.bench import validate_entry
 from repro.serve import loadgen
 from repro.serve.loadgen import (
     DEFAULT_MIX,
@@ -110,56 +110,11 @@ class TestBenchRecord:
         assert summary["mean"] == pytest.approx(4.0)
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
 
-    def test_traced_ratio_floor_enforced(self, capsys):
-        record = {"speedups": {
-            "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/served:direct": 3.0,
-            "keygen/secp160r1/served_traced:direct": 1.2,
-            "keygen/secp160r1/served_traced:served": 0.4,
-        }}
-        assert loadgen.check_floors(record) == 1
-        assert "traced/untraced" in capsys.readouterr().out
-        record["speedups"]["keygen/secp160r1/served_traced:served"] = 0.9
-        assert loadgen.check_floors(record) == 0
-
     def test_shard_entries_validate(self):
         entry = loadgen._bench_entry("shard2", 60, 0.8, kernel="mixed",
                                      latencies=[1.0, 2.0])
         validate_entry(entry)
         assert entry["name"] == "mixed/secp160r1/shard2"
-
-    def test_shard_floor_multicore(self, capsys):
-        record = {"speedups": {
-            "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/served:direct": 3.0,
-            "mixed/secp160r1/shard2:shard1": 1.8,
-        }}
-        assert loadgen.check_floors(record, cpus=4) == 0
-        capsys.readouterr()
-        record["speedups"]["mixed/secp160r1/shard2:shard1"] = 1.1
-        assert loadgen.check_floors(record, cpus=4) == 1
-        assert "shard scaling" in capsys.readouterr().out
-
-    def test_shard_floor_single_core_fallback(self, capsys):
-        """On one core shards can't scale; only the anti-regression
-        bound applies (REPRO_SHARD_SINGLE_CORE_MIN, default 0.6)."""
-        record = {"speedups": {
-            "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/served:direct": 3.0,
-            "mixed/secp160r1/shard2:shard1": 1.01,
-        }}
-        assert loadgen.check_floors(record, cpus=1) == 0
-        assert "single-core" in capsys.readouterr().out
-        record["speedups"]["mixed/secp160r1/shard2:shard1"] = 0.3
-        assert loadgen.check_floors(record, cpus=1) == 1
-        assert "anti-regression" in capsys.readouterr().out
-
-    def test_records_without_shard_legs_skip_the_gate(self):
-        record = {"speedups": {
-            "keygen/secp160r1/fixedbase:direct": 4.0,
-            "keygen/secp160r1/served:direct": 3.0,
-        }}
-        assert loadgen.check_floors(record, cpus=1) == 0
 
     def test_bad_serve_entries_rejected(self):
         entry = loadgen._bench_entry("served", 8, 0.5)
@@ -172,11 +127,15 @@ class TestBenchRecord:
         with pytest.raises(ValueError, match="cycle"):
             validate_entry(dict(entry, cycles_per_run=3))
 
-    @pytest.mark.bench
-    def test_bench_record_and_floors(self):
-        record = loadgen.run_bench_serve(smoke=True)
-        validate_run_record(record)
-        assert loadgen.check_floors(record) == 0
+    def test_speedups_pair_legs_by_name(self):
+        entries = [loadgen._bench_entry("direct", 8, 1.0),
+                   loadgen._bench_entry("served", 8, 0.25),
+                   dict(loadgen._bench_entry("quota", 40, 0.1,
+                                             kernel="ecdsa"), shed=30)]
+        assert loadgen._speedups(entries) == {
+            "keygen/secp160r1/served:direct": 4.0,
+            "named/quota_shed_fraction": 0.75,
+        }
 
 
 class TestCli:

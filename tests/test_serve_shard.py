@@ -19,11 +19,7 @@ import pytest
 
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig
-from repro.serve.shard import (
-    ShardCluster,
-    StatsBoard,
-    reuseport_available,
-)
+from repro.serve.shard import ShardCluster, StatsBoard
 
 SEED = "shard-test-seed"
 
@@ -145,38 +141,33 @@ def _cluster_stats(port, deadline_s=10.0, want_shards=2, min_per_shard=0):
 
 
 class TestShardCluster:
-    def test_redirector_cluster_end_to_end(self):
-        """One multi-purpose scenario over a 2-shard redirector-mode
-        cluster: requests through the public port and through each
-        shard's direct port, deterministic results across shards,
-        cluster-scope stats aggregation, and copy-on-write table
-        inheritance (shards use the supervisor's tables, never build)."""
+    def test_port_per_process_cluster_end_to_end(self):
+        """One multi-purpose scenario over a 2-shard port-per-process
+        cluster: no public port, requests straight at each shard's own
+        port, deterministic results across shards, cluster-scope stats
+        aggregation, and copy-on-write table inheritance (shards use the
+        supervisor's tables, never build)."""
         async def scenario():
             loop = asyncio.get_running_loop()
             async with ShardCluster(_config(), reuseport=False) as cluster:
-                assert cluster.port
-                assert len(cluster.shard_ports) == 2
-                # Through the redirector (round-robin placement).
-                via_public = [
-                    await loop.run_in_executor(None, _keygen, cluster.port)
-                    for _ in range(2)]
-                # Straight at each shard.
-                via_direct = [
+                assert cluster.port is None
+                assert len(set(cluster.shard_ports)) == 2
+                replies = [
                     await loop.run_in_executor(None, _keygen, port)
                     for port in cluster.shard_ports]
                 stats = await loop.run_in_executor(
                     None, lambda: _cluster_stats(
                         cluster.shard_ports[0], min_per_shard=1))
-            return via_public, via_direct, stats
+            return replies, stats
 
-        via_public, via_direct, stats = run(scenario())
+        replies, stats = run(scenario())
         # Same seed -> same key, whichever shard served it.
-        assert len({r["private"] for r in via_public + via_direct}) == 1
+        assert len({r["private"] for r in replies}) == 1
         assert stats["scope"] == "cluster"
         assert stats["shard_count"] == 2
         assert {p["shard"] for p in stats["shards"]} == {0, 1}
-        # Counters are summed across shards: the two direct requests
-        # alone guarantee both shards contributed.
+        # Counters are summed across shards: one request per shard
+        # guarantees both contributed.
         per_shard = [p["counters"].get("serve_requests_total", 0)
                      for p in stats["shards"]]
         assert all(n >= 1 for n in per_shard)
@@ -191,7 +182,7 @@ class TestShardCluster:
     def test_dead_shard_respawns_and_port_survives(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with ShardCluster(_config(), reuseport=False) as cluster:
+            async with ShardCluster(_config()) as cluster:
                 await loop.run_in_executor(None, _keygen, cluster.port)
                 victim = cluster._procs[0]
                 victim.kill()
@@ -204,7 +195,8 @@ class TestShardCluster:
                     await asyncio.sleep(0.05)
                 else:
                     raise AssertionError("shard 0 was never respawned")
-                # The public port answered before, during and after.
+                # The public port answered before and after: the reserve
+                # socket held it while shard 0 was down.
                 result = await loop.run_in_executor(
                     None, _keygen, cluster.port)
                 respawns = cluster.respawns
@@ -214,8 +206,6 @@ class TestShardCluster:
         assert "private" in result
         assert respawns >= 1
 
-    @pytest.mark.skipif(not reuseport_available(),
-                        reason="platform lacks SO_REUSEPORT")
     def test_reuseport_cluster_smoke(self):
         async def scenario():
             loop = asyncio.get_running_loop()
