@@ -310,8 +310,8 @@ def _groups(smoke: bool) -> List[Tuple[List[Dict[str, Any]], int]]:
                for kernel, mode, reps in others]
     # The full scalar multiplication exercises call/ret, the bit-loop
     # driver and long superblock chains: the headline number for the
-    # trace tier.  The reference interpreter gets one rep — a single
-    # ladder costs seconds there, and the ips of one warmed full ladder
+    # trace tier.  The reference interpreter gets one rep, timed once —
+    # a single ladder costs seconds there, and the ips of one full ladder
     # is already stable at the millions-of-instructions scale.
     groups.append(([ladder(engine, reps)
                     for engine, reps in _LADDER_REPS.items()], ROUNDS))
@@ -378,16 +378,23 @@ def _bench_ladder(spec: Dict[str, Any]) -> Dict[str, Any]:
     base_x = 9
     run = _run_fn(spec, kernel.core)
 
-    def once():
-        kernel.load_operands(k, base_x)
-        run()
-
-    once()                                # warm-up
-    per_run = kernel.core.instructions_retired
-    cycles = kernel.core.cycles
     reps = spec["reps"]
-    wall = _best_of(2, lambda: [once() for _ in range(reps)])
-    return _entry(spec, per_run, cycles, reps, wall)
+
+    def loop():
+        for _ in range(reps):
+            kernel.load_operands(k, base_x)   # resets the core's tallies
+            run()
+
+    if spec["engine"] == "reference":
+        # The interpreter compiles nothing, and its decode cache fills in
+        # the first few thousand of a ladder's millions of instructions:
+        # one timed loop, no warm-up (a full ladder costs seconds there).
+        wall = _best_of(1, loop)
+    else:
+        loop()                            # warm-up: compile + decode caches
+        wall = _best_of(2, loop)
+    return _entry(spec, kernel.core.instructions_retired, kernel.core.cycles,
+                  reps, wall)
 
 
 def _entry(spec: Dict[str, Any], per_run: int, cycles: int, reps: int,

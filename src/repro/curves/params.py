@@ -112,6 +112,16 @@ class CurveSuite:
     #: Bit length used for fixed-length (constant-round) algorithms.
     scalar_bits: int = 160
 
+    @property
+    def cofactor(self) -> Optional[int]:
+        """h = #E / n when the curve pins #E and the suite knows n, else
+        None; h = 1 makes the subgroup check of received points redundant
+        (:func:`~repro.curves.validate.validate_public_point`)."""
+        group_order = getattr(self.curve, "group_order", None)
+        if group_order is None or self.order is None:
+            return None
+        return group_order // self.order
+
 
 def _affine(field: PrimeField, x: int, y: int) -> AffinePoint:
     return AffinePoint(field.from_int(x), field.from_int(y))
@@ -131,6 +141,7 @@ def make_secp160r1(functional: bool = False) -> CurveSuite:
     else:
         field = Secp160r1Field()
     curve = WeierstrassCurve(field, SECP160R1_A, SECP160R1_B, name="secp160r1")
+    curve.group_order = SECP160R1_H * SECP160R1_N
     base = _affine(field, SECP160R1_GX, SECP160R1_GY)
     return _fresh(CurveSuite("secp160r1", curve, base, field, SECP160R1_N))
 
@@ -173,6 +184,7 @@ def make_glv(functional: bool = False) -> CurveSuite:
     field = _opf_field(functional, GLV_U, GLV_K, tag="opf160-glv")
     curve = GLVCurve(field, GLV_B, GLV_BETA, GLV_LAMBDA, GLV_ORDER,
                      name="opf-glv")
+    curve.group_order = GLV_ORDER
     base = _affine(field, GLV_GX, GLV_GY)
     return _fresh(CurveSuite("glv", curve, base, field, GLV_ORDER))
 

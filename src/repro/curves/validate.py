@@ -10,7 +10,10 @@ arithmetic runs:
 * :func:`validate_public_point` — membership of the *named* curve (the
   classic invalid-curve/twist attack gate) plus, when the prime subgroup
   order is known, an ``order * P == O`` subgroup check that also rejects
-  every small-order point.
+  every small-order point.  Where that order is the curve's whole group
+  order ``#E`` (cofactor 1: secp160r1 and GLV), Lagrange's theorem gives
+  ``order * P == O`` for every point on the curve, so membership alone
+  decides and the scalar multiplication is skipped.
 * :func:`validate_montgomery_x` — the x-only variant: lifts the received
   x-coordinate (rejecting twist x-values, since the reproduction's curves
   are not twist-secure) and refuses ``x = 0``, the order-2 point ``(0, 0)``
@@ -58,13 +61,16 @@ def validate_public_point(curve, point: AffinePoint,
     """Check a received public point; returns it unchanged on success.
 
     Works for any curve family exposing ``is_on_curve`` and (when *order*
-    is given) ``affine_scalar_mult`` — Weierstraß, GLV, Montgomery.
+    is given) ``affine_scalar_mult`` — Weierstraß, GLV, Montgomery.  The
+    subgroup check runs unless *order* equals the curve's ``group_order``
+    (#E, pinned only where it is exactly known): every on-curve point then
+    has ``order * P == O`` already.
     """
     if point is None:
         raise ValueError("public point must not be the point at infinity")
     if not curve.is_on_curve(point):
         raise ValueError("public point is not on the curve")
-    if order is not None:
+    if order is not None and order != getattr(curve, "group_order", None):
         if curve.affine_scalar_mult(order, point) is not None:
             raise ValueError(
                 "public point is not in the prime-order subgroup")

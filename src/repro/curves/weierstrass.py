@@ -45,6 +45,9 @@ class WeierstrassCurve:
     """
 
     family = "weierstrass"
+    #: #E(F_p) when exactly known (the named-curve factories pin it for
+    #: secp160r1 and GLV), else None; input validation reads it.
+    group_order: Optional[int] = None
 
     def __init__(self, field: PrimeField, a: int, b: int,
                  name: Optional[str] = None):

@@ -59,8 +59,14 @@ class FpElement:
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic -------------------------------------------------------
+    #
+    # The binary operators go straight to the field when the operand is an
+    # element of the same field (the hot path of every point formula); ints
+    # and foreign elements take the _coerce route and its errors.
 
     def __add__(self, other: IntoElement) -> "FpElement":
+        if type(other) is FpElement and other.field is self.field:
+            return self.field.add(self, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -69,6 +75,8 @@ class FpElement:
     __radd__ = __add__
 
     def __sub__(self, other: IntoElement) -> "FpElement":
+        if type(other) is FpElement and other.field is self.field:
+            return self.field.sub(self, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -84,6 +92,8 @@ class FpElement:
         return self.field.neg(self)
 
     def __mul__(self, other: IntoElement) -> "FpElement":
+        if type(other) is FpElement and other.field is self.field:
+            return self.field.mul(self, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

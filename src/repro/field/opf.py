@@ -14,8 +14,8 @@ REDC yields the same quotient as digit-serial FIPS, and the conditional
 subtractions/additions of ``p`` are decided against ``R`` as the carry
 chain decides them.  Those routines stay the reference (the equivalence
 tests compare against them) and the source of the word-op tallies: each is
-branch-free, so its counts are measured once per field and charged per
-operation.
+branch-free, so its counts are measured once per field and the field's
+counter multiplies them by its op counts when read.
 """
 
 from __future__ import annotations
@@ -92,12 +92,12 @@ class OptimalPrimeField(PrimeField):
         #: ``-p^-1 mod R``: the whole-radix REDC quotient constant.
         self._n_prime = -pow(p, -1, r) % r
         zeros, p_words = [0] * self.num_words, self.mont.p_words
-        self._add_tally = word_tally(modadd_incomplete, zeros, zeros,
-                                     p_words, word_bits)
-        self._sub_tally = word_tally(modsub_incomplete, zeros, zeros,
-                                     p_words, word_bits)
-        self._mul_tally = word_tally(fips_montgomery_opf, zeros, zeros,
-                                     self.mont)
+        self.counter.derive_words(
+            add=word_tally(modadd_incomplete, zeros, zeros, p_words,
+                           word_bits),
+            sub=word_tally(modsub_incomplete, zeros, zeros, p_words,
+                           word_bits),
+            mul=word_tally(fips_montgomery_opf, zeros, zeros, self.mont))
         #: Phase-1 iteration counts of the most recent inversions — exposed
         #: for the leakage analysis of the projective-to-affine conversion.
         self.inversion_iteration_counts: Deque[int] = deque(
@@ -126,15 +126,14 @@ class OptimalPrimeField(PrimeField):
 
     # -- arithmetic -----------------------------------------------------------
     #
-    # Each operation charges its reference routine's word-op tally first, as
-    # the routine itself has counted everything by the time it checks its
-    # invariant; the AssertionErrors mirror those checks, which only a toy
-    # field with p < R/2 can trip.
+    # The public op has already counted itself — and so its reference
+    # routine's word-op tally — when these run, as the routine has counted
+    # everything by the time it checks its invariant; the AssertionErrors
+    # mirror those checks, which only a toy field with p < R/2 can trip.
 
     def _add(self, x: int, y: int) -> int:
         """:func:`~repro.mpa.addsub.modadd_incomplete`: subtract ``p`` while
         the sum carries out of ``R``, at most twice."""
-        self.counter.words.charge(self._add_tally)
         t = x + y
         if t >= self._r:
             t -= self.p
@@ -149,7 +148,6 @@ class OptimalPrimeField(PrimeField):
     def _sub(self, x: int, y: int) -> int:
         """:func:`~repro.mpa.addsub.modsub_incomplete`: add ``p`` back while
         the difference borrows, at most twice."""
-        self.counter.words.charge(self._sub_tally)
         t = x - y
         if t < 0:
             t += self.p
@@ -165,7 +163,6 @@ class OptimalPrimeField(PrimeField):
         """:func:`~repro.mpa.montgomery.fips_montgomery_opf` as one
         whole-radix REDC: ``(xy + m p) / R`` with ``m = -xy p^-1 mod R``,
         then one subtraction of ``p`` if that reaches ``R``."""
-        self.counter.words.charge(self._mul_tally)
         t = x * y
         m = (t & self._r_mask) * self._n_prime & self._r_mask
         t = (t + m * self.p) >> self.radix_bits

@@ -13,8 +13,8 @@ arithmetic:
 
 All three compute on Python integers.  The two paper fields produce exactly
 the internal values of the word-level routines in :mod:`repro.mpa`, which
-remain the reference and the source of the word-op tallies each operation
-charges.
+remain the reference and the source of the word-op tally each operation
+stands for.
 
 Every field owns a :class:`~repro.field.counters.FieldOpCounter`; the
 element operators bump it, which is how the cycle model later prices a whole

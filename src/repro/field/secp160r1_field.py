@@ -11,14 +11,14 @@ primes and OPFs.
 
 Products are formed with Python integers.  The word-level product-scanning
 routine in :mod:`repro.mpa` stays the reference for the product and the
-source of the word-op tally charged per multiplication.
+source of the word-op tally each multiplication or squaring stands for.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..mpa.counters import word_tally
+from ..mpa.counters import WordOpCounter, word_tally
 from ..mpa.mul import byte_muls_per_word_mul, mul_product_scanning
 from ..mpa.words import DEFAULT_WORD_BITS
 from .prime_field import PrimeField
@@ -31,9 +31,10 @@ class Secp160r1Field(PrimeField):
     """F_p for p = 2^160 - 2^31 - 1 with fold-based fast reduction.
 
     Elements are stored as plain residues.  Multiplication is the integer
-    product followed by the two-fold pseudo-Mersenne reduction; it charges
-    the word-op tally of the Comba/hybrid product-scanning routine, whose
-    byte-level MUL count :attr:`byte_muls_per_field_mul` gives.
+    product followed by the two-fold pseudo-Mersenne reduction; it is
+    priced at the word-op tally of the Comba/hybrid product-scanning
+    routine, whose byte-level MUL count :attr:`byte_muls_per_field_mul`
+    gives.  Additions and subtractions carry no word tally.
     """
 
     cost_profile = "secp160r1"
@@ -47,8 +48,9 @@ class Secp160r1Field(PrimeField):
             self.num_words ** 2 * byte_muls_per_word_mul(word_bits)
         )
         zeros = [0] * self.num_words
-        self._mul_tally = word_tally(mul_product_scanning, zeros, zeros,
-                                     word_bits)
+        self.counter.derive_words(
+            add=WordOpCounter(), sub=WordOpCounter(),
+            mul=word_tally(mul_product_scanning, zeros, zeros, word_bits))
 
     # -- representation -----------------------------------------------------
 
@@ -89,7 +91,6 @@ class Secp160r1Field(PrimeField):
         return t + self.p if t < 0 else t
 
     def _mul(self, x: int, y: int) -> int:
-        self.counter.words.charge(self._mul_tally)
         return self.reduce_product(x * y)
 
     def _mul_small(self, x: int, constant: int) -> int:

@@ -12,7 +12,7 @@ Every routine tallies word-level operations into an optional
 tests use to verify the paper's analytic operation counts.  The field layer
 (:mod:`repro.field`) computes on Python integers instead; these routines are
 the reference its results are tested against, and the source of the
-per-operation word-op tallies it charges.
+per-operation word-op tallies its counters derive from op counts.
 """
 
 from .addsub import (

@@ -64,16 +64,6 @@ class WordOpCounter:
             shift=self.shift + other.shift,
         )
 
-    def charge(self, tally: "WordOpCounter") -> None:
-        """Add *tally* in place: one execution of a routine whose word-op
-        counts do not depend on its operands."""
-        self.mul += tally.mul
-        self.add += tally.add
-        self.sub += tally.sub
-        self.load += tally.load
-        self.store += tally.store
-        self.shift += tally.shift
-
     def copy(self) -> "WordOpCounter":
         """Independent copy of the current tallies."""
         return WordOpCounter(
@@ -109,7 +99,8 @@ def word_tally(routine, *args, **kwargs) -> WordOpCounter:
     Every routine in :mod:`repro.mpa` that the field layer uses is
     branch-free at word granularity, so one run on any valid operands
     yields the tally of every run; the fields measure it once at
-    construction and :meth:`WordOpCounter.charge` it per operation.
+    construction and their :class:`~repro.field.counters.FieldOpCounter`
+    multiplies it by the op count when its word tallies are read.
     """
     counter = WordOpCounter()
     routine(*args, counter=counter, **kwargs)

@@ -29,7 +29,6 @@ context manager) around the region of interest, then export through
 from __future__ import annotations
 
 import functools
-import operator
 import os
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -55,6 +54,13 @@ CURRENT: Optional["Tracer"] = None
 _SPANS_STARTED = METRICS.counter(
     "obs_spans_started", "spans opened by the installed tracer")
 
+#: ``(field_ops, word_ops)`` attrs by counter delta — the spans of one
+#: point operation close on the same few deltas over and over; starts
+#: over when full.
+_DELTA_ATTRS: Dict[Tuple[int, ...], Tuple[Dict[str, int],
+                                          Dict[str, int]]] = {}
+_DELTA_ATTRS_SIZE = 256
+
 
 class Span:
     """One timed region with attributes, counter deltas and children.
@@ -76,7 +82,7 @@ class Span:
         self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
         self.children: List["Span"] = []
         self._counter = counter
-        self._before = counter.state() if counter is not None else None
+        self._before = counter.mark() if counter is not None else None
         self._tracer: Optional["Tracer"] = None
 
     def __enter__(self) -> "Span":
@@ -99,23 +105,27 @@ class Span:
         accumulated since the span opened (only its non-zero tallies)."""
         if self._counter is None:
             return
-        after, before = self._counter.state(), self._before
+        delta = self._counter.since(self._before)
         self._counter = self._before = None
-        if after == before:
+        if not any(delta):
             return
-        n = len(FIELD_OPS)
-        ops = {k: a - b for k, a, b in zip(FIELD_OPS, after, before) if a != b}
-        words = {k: a - b for k, a, b in zip(WORD_OPS, after[n:], before[n:])
-                 if a != b}
+        split = _DELTA_ATTRS.get(delta)
+        if split is None:
+            n = len(FIELD_OPS)
+            split = ({k: d for k, d in zip(FIELD_OPS, delta) if d},
+                     {k: d for k, d in zip(WORD_OPS, delta[n:]) if d})
+            if len(_DELTA_ATTRS) >= _DELTA_ATTRS_SIZE:
+                _DELTA_ATTRS.clear()
+            _DELTA_ATTRS[delta] = split
+        ops, words = split
         if ops:
-            self.attrs["field_ops"] = ops
+            self.attrs["field_ops"] = dict(ops)
         if words:
-            self.attrs["word_ops"] = words
+            self.attrs["word_ops"] = dict(words)
         if cost_fn is not None:
             try:
                 self.attrs["cycles_est"] = round(float(cost_fn(
-                    FieldOpCounter.from_state(
-                        tuple(map(operator.sub, after, before))))), 1)
+                    FieldOpCounter.from_state(delta))), 1)
             except Exception:
                 pass  # pricing is best-effort decoration, never fatal
 
