@@ -3,7 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test test-bench bench bench-smoke bench-check trace-smoke \
         profile-smoke faults-smoke ctcheck-smoke serve-smoke \
-        shard-smoke keys-smoke obs-serve-smoke docs docs-check tables
+        shard-smoke keys-smoke obs-serve-smoke perfbench-smoke docs \
+        docs-check tables
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -124,6 +125,12 @@ obs-serve-smoke:
 	    validate_chrome; \
 	    validate_chrome(json.load(open('/tmp/repro_slowlog.json'))); \
 	    print('slowlog chrome trace valid')"
+
+# Benchmark-harness gate: the perfbench suite, the one test suite that
+# reads field counters (copy(), delta(), words.mul) the way the
+# external benchmark does.
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 tables:
 	$(PYTHON) -m repro all

@@ -13,7 +13,11 @@ arithmetic runs:
   every small-order point.  Where that order is the curve's whole group
   order ``#E`` (cofactor 1: secp160r1 and GLV), Lagrange's theorem gives
   ``order * P == O`` for every point on the curve, so membership alone
-  decides and the scalar multiplication is skipped.
+  decides and the scalar multiplication is skipped.  Without an order
+  (the OPF Edwards and Weierstraß suites) it refuses the low-order points
+  a coordinate test finds: ``x = 0`` or ``y = 0`` on Edwards (the
+  identity and the points of order 2 and 4), ``y = 0`` on Weierstraß and
+  Montgomery curves (order 2).
 * :func:`validate_montgomery_x` — the x-only variant: lifts the received
   x-coordinate (rejecting twist x-values, since the reproduction's curves
   are not twist-secure) and refuses ``x = 0``, the order-2 point ``(0, 0)``
@@ -29,8 +33,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .edwards import TwistedEdwardsCurve
 from .montgomery import MontgomeryCurve
 from .point import AffinePoint
+from .weierstrass import WeierstrassCurve
 
 __all__ = [
     "validate_montgomery_x",
@@ -64,13 +70,24 @@ def validate_public_point(curve, point: AffinePoint,
     is given) ``affine_scalar_mult`` — Weierstraß, GLV, Montgomery.  The
     subgroup check runs unless *order* equals the curve's ``group_order``
     (#E, pinned only where it is exactly known): every on-curve point then
-    has ``order * P == O`` already.
+    has ``order * P == O`` already.  Without *order*, Edwards points with
+    ``x = 0`` or ``y = 0`` and Weierstraß or Montgomery points with
+    ``y = 0`` are refused (no scalar multiplication either way).
     """
     if point is None:
         raise ValueError("public point must not be the point at infinity")
     if not curve.is_on_curve(point):
         raise ValueError("public point is not on the curve")
-    if order is not None and order != getattr(curve, "group_order", None):
+    if order is None:
+        if isinstance(curve, TwistedEdwardsCurve):
+            if point.x.is_zero() or point.y.is_zero():
+                raise ValueError(
+                    "x = 0 or y = 0 is the identity or a point of order 2 "
+                    "or 4")
+        elif isinstance(curve, (WeierstrassCurve, MontgomeryCurve)) \
+                and point.y.is_zero():
+            raise ValueError("y = 0 is a point of order 2")
+    elif order != getattr(curve, "group_order", None):
         if curve.affine_scalar_mult(order, point) is not None:
             raise ValueError(
                 "public point is not in the prime-order subgroup")

@@ -63,8 +63,7 @@ class Gauge:
 
 
 #: Geometric bucket boundaries shared by every histogram: 1 µs .. ~67 s
-#: in powers of two.  Fixed boundaries keep observe() to one bisect and
-#: make histograms from different processes mergeable bucket-by-bucket.
+#: in powers of two.  Fixed boundaries keep observe() to one bisect.
 _BUCKET_BOUNDS: List[float] = [2.0 ** i for i in range(27)]
 
 
@@ -123,13 +122,6 @@ class Histogram:
             "p95": round(self.percentile(95), 3),
             "p99": round(self.percentile(99), 3),
         }
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's buckets in (cross-process merge)."""
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.sum += other.sum
 
 
 class MetricsRegistry:

@@ -29,11 +29,12 @@ context manager) around the region of interest, then export through
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..field.counters import FIELD_OPS, WORD_OPS, FieldOpCounter
+from ..field.counters import FIELD_OPS, FieldOpCounter, op_counts
 from .metrics import METRICS
 
 __all__ = [
@@ -54,10 +55,10 @@ CURRENT: Optional["Tracer"] = None
 _SPANS_STARTED = METRICS.counter(
     "obs_spans_started", "spans opened by the installed tracer")
 
-#: ``(field_ops, word_ops)`` attrs by counter delta — the spans of one
-#: point operation close on the same few deltas over and over; starts
-#: over when full.
-_DELTA_ATTRS: Dict[Tuple[int, ...], Tuple[Dict[str, int],
+#: ``(field_ops, word_ops)`` attrs by (op-count delta, word costs) — the
+#: spans of one point operation close on the same few deltas over and
+#: over; starts over when full.
+_DELTA_ATTRS: Dict[Tuple[Any, ...], Tuple[Dict[str, int],
                                           Dict[str, int]]] = {}
 _DELTA_ATTRS_SIZE = 256
 
@@ -82,7 +83,7 @@ class Span:
         self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
         self.children: List["Span"] = []
         self._counter = counter
-        self._before = counter.mark() if counter is not None else None
+        self._before = op_counts(counter) if counter is not None else None
         self._tracer: Optional["Tracer"] = None
 
     def __enter__(self) -> "Span":
@@ -105,18 +106,21 @@ class Span:
         accumulated since the span opened (only its non-zero tallies)."""
         if self._counter is None:
             return
-        delta = self._counter.since(self._before)
+        counter, before = self._counter, self._before
         self._counter = self._before = None
+        delta = tuple(map(operator.sub, op_counts(counter), before))
         if not any(delta):
             return
-        split = _DELTA_ATTRS.get(delta)
+        costs = counter.costs
+        key = (delta, costs)
+        split = _DELTA_ATTRS.get(key)
         if split is None:
-            n = len(FIELD_OPS)
+            words = FieldOpCounter(*delta, costs=costs).words.snapshot()
             split = ({k: d for k, d in zip(FIELD_OPS, delta) if d},
-                     {k: d for k, d in zip(WORD_OPS, delta[n:]) if d})
+                     {k: d for k, d in words.items() if d})
             if len(_DELTA_ATTRS) >= _DELTA_ATTRS_SIZE:
                 _DELTA_ATTRS.clear()
-            _DELTA_ATTRS[delta] = split
+            _DELTA_ATTRS[key] = split
         ops, words = split
         if ops:
             self.attrs["field_ops"] = dict(ops)
@@ -125,7 +129,7 @@ class Span:
         if cost_fn is not None:
             try:
                 self.attrs["cycles_est"] = round(float(cost_fn(
-                    FieldOpCounter.from_state(delta))), 1)
+                    FieldOpCounter(*delta, costs=costs))), 1)
             except Exception:
                 pass  # pricing is best-effort decoration, never fatal
 

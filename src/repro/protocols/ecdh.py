@@ -145,7 +145,8 @@ class FullPointEcdh:
 
     Hardened operation (default): peer points pass
     :func:`~repro.curves.validate.validate_public_point` (on-curve, plus
-    subgroup when ``order`` is known), the default backend blinds scalars
+    subgroup when ``order`` is known, else the Edwards/Weierstraß
+    low-order coordinate test), the default backend blinds scalars
     with the group order when it is known, the derived secret is checked
     on-curve and recomputed for comparison, and exhausted retries raise
     ``FaultDetectedError``.  A custom ``mult`` backend is used as given —

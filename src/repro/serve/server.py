@@ -69,7 +69,7 @@ from ..obs.metrics import METRICS, render_prometheus
 from ..obs.trace import new_trace_id
 from ..scalarmult.fixed_base import DEFAULT_WIDTH
 from . import protocol
-from .worker import WorkerState, _execute_traced, execute_request
+from .worker import _HANDLERS, WorkerState, _execute_traced, execute_request
 
 __all__ = ["ServeConfig", "EccServer", "main"]
 
@@ -320,14 +320,14 @@ class EccServer:
 
         Authorizes the (tenant, token) pair, charges the tenant's rate
         bucket, then either answers a ``key_*`` lifecycle op inline
-        (like ``stats`` — a journal write must not wait behind the
-        request queue) or admits a named-key use: the key's **current
-        generation is pinned** into ``params.key_generation`` right
-        here, so a rotation landing a microsecond later cannot retire
-        the key under a queued request, and the ``token`` is stripped
-        so credentials never enter the queue.  Returns the
-        reply to write immediately, or None for an admitted request
-        that continues to the queue.
+        through the worker's handler table (like ``stats`` — a journal
+        write must not wait behind the request queue) or admits a
+        named-key use: the key's **current generation is pinned** into
+        ``params.key_generation`` right here, so a rotation landing a
+        microsecond later cannot retire the key under a queued request,
+        and the ``token`` is stripped so credentials never enter the
+        queue.  Returns the reply to write immediately, or None for an
+        admitted request that continues to the queue.
         """
         op = request["op"]
         params = request.get("params") or {}
@@ -338,17 +338,8 @@ class EccServer:
                 f"serve_tenant_{tenant.name}_requests_total").inc()
             self.keys.throttle(tenant)
             if op in protocol.KEY_OPS:
-                if op == "key_create":
-                    result = self.keys.create(
-                        tenant.name, params["name"], request["curve"],
-                        params.get("seed"))
-                elif op == "key_rotate":
-                    result = self.keys.rotate(tenant.name, params["name"],
-                                              params.get("seed"))
-                elif op == "key_delete":
-                    result = self.keys.delete(tenant.name, params["name"])
-                else:
-                    result = self.keys.info(tenant.name, params["name"])
+                result = _HANDLERS[op](self.state, request.get("curve"),
+                                       dict(params, tenant=tenant.name))
                 reply = protocol.ok_reply(request["id"], result)
             else:
                 if params.get("key_generation") is None:

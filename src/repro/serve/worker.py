@@ -396,12 +396,12 @@ def _handle_stats(state: WorkerState, curve: Optional[str],
 
 def _handle_key_create(state: WorkerState, curve: str,
                        params: Dict[str, Any]) -> Dict[str, Any]:
-    """Named-key lifecycle, direct-path edition.
+    """Named-key lifecycle against the state's registry.
 
-    A live :class:`~repro.serve.server.EccServer` answers the ``key_*``
-    ops at admission (like ``stats``); these handlers give the
-    server-free direct path the same semantics against the state's
-    registry.
+    A live :class:`~repro.serve.server.EccServer` dispatches the ``key_*``
+    ops to these handlers at admission (like ``stats``), with the
+    authorized tenant in ``params``; the server-free direct path reaches
+    them through :func:`execute_request`.
     """
     return state.keys.create(params.get("tenant") or "",
                                 params["name"], curve,

@@ -1,13 +1,13 @@
 """Word tallies derived from op counts equal the reference routines' own.
 
-A field op only bumps its field-op count; :class:`FieldOpCounter` derives
-the word-level tallies from the counts when read.  Here seeded random op
+A field op only bumps its field-op count; :class:`FieldOpCounter` computes
+the word-level tallies from the counts and the field's word costs when read.  Here seeded random op
 sequences (element entry, add, sub, neg, mul, sqr, mul_small, inv, int
 operands and a mid-sequence ``reset()``) run on each field while a model
 adds up, per op, the :class:`WordOpCounter` that the :mod:`repro.mpa`
 reference routine counts on the actual operands.  ``state()``, ``words``,
-``copy()``, ``delta()`` and the span path ``mark()``/``since()`` must match
-the model after every op.
+``copy()``, ``delta()`` and the span path (a counter built from an op-count
+delta and the field's costs) must match the model after every op.
 
 The per-op field- and word-level state of one ECDH per curve is pinned to
 the figures measured before the derivation replaced per-op charging; on
@@ -28,7 +28,7 @@ from repro.field import (
     OptimalPrimeField,
     Secp160r1Field,
 )
-from repro.field.counters import FIELD_OPS, WORD_OPS
+from repro.field.counters import FIELD_OPS, WORD_OPS, op_counts
 from repro.mpa import (
     WordOpCounter,
     fips_montgomery_opf,
@@ -180,17 +180,21 @@ def test_derived_words_match_reference_tallies(key, seed):
             model.reset()
             snaps = []
         _step(field, twin, model, pool, rng)
-        mark = field.counter.mark()  # taken before this op is folded
         state = field.counter.state()
         assert state == model.state(), (key, i)
         assert field.counter.words == model.words
         if rng.random() < 0.1:
-            snaps.append((field.counter.copy(), mark, model.state()))
-        for snap, mark, then in snaps[-3:]:
+            snaps.append((field.counter.copy(), op_counts(field.counter),
+                          model.state()))
+        for snap, counts, then in snaps[-3:]:
             assert snap.state() == then
             since = tuple(now - was for now, was in zip(state, then))
             assert field.counter.delta(snap).state() == since
-            assert field.counter.since(mark) == since
+            span_delta = FieldOpCounter(
+                *(now - was for now, was in zip(op_counts(field.counter),
+                                                counts)),
+                costs=field.counter.costs)
+            assert span_delta.state() == since
     if key == "generic":
         assert field.counter.words == WordOpCounter()
     else:
@@ -198,20 +202,22 @@ def test_derived_words_match_reference_tallies(key, seed):
 
 
 class TestCounterObject:
-    """``words`` stays the counter's own mutable object."""
+    """The op counts are the whole state; ``words`` is computed from them."""
 
-    def test_mutations_persist_and_ops_add_on_top(self):
+    def test_words_are_priced_from_counts(self):
         field = FIELDS["opf160"]()
         a, b = field.from_int(3), field.from_int(5)
         field.counter.reset()
-        words = field.counter.words
-        words.load += 7
         _ = a * b
-        assert field.counter.words is words
         zeros = [0] * field.num_words
         mul = _tally(fips_montgomery_opf, zeros, zeros, field.mont)
         assert mul.mul == 30  # s^2 + s
-        assert words == mul + WordOpCounter(load=7)
+        words = field.counter.words
+        assert words == mul
+        words.load += 7  # a read is a fresh value, not the counter's state
+        assert field.counter.words == mul
+        field.counter.sqr += 1  # a sqr is priced as a mul
+        assert field.counter.words == mul + mul
 
     def test_reset_zeroes_words_and_later_ops_fold_from_zero(self):
         field = FIELDS["secp160r1"]()
@@ -222,17 +228,41 @@ class TestCounterObject:
         _ = a.square()
         assert field.counter.words.mul == 25
 
-    def test_copy_and_from_state_carry_no_derivation(self):
+    def test_copy_and_delta_price_their_words(self):
         field = FIELDS["glv"]()
+        zeros, p_words = [0] * field.num_words, field.mont.p_words
+        mul = _tally(fips_montgomery_opf, zeros, zeros, field.mont)
+        add = _tally(modadd_incomplete, zeros, zeros, p_words,
+                     field.word_bits)
         a = field.from_int(9)
         _ = a * a
         snap = field.counter.copy()
-        snap.mul += 1
-        assert snap.words == field.counter.words
-        again = FieldOpCounter.from_state(field.counter.state())
-        assert again == field.counter
-        again.add += 1
-        assert again.words == field.counter.words
+        assert snap == field.counter
+        _ = a * a + a
+        delta = field.counter.delta(snap)
+        assert delta.snapshot() == {**FieldOpCounter().snapshot(),
+                                    "add": 1, "mul": 1}
+        assert delta.words == add + mul
+        snap.mul += 1  # the copy is independent and keeps the costs
+        assert snap.words == field.counter.words.delta(add)
+
+    def test_generic_field_words_are_zero(self):
+        field = FIELDS["generic"]()
+        a = field.from_int(9)
+        _ = a * a + a - a
+        assert field.counter.costs is None
+        assert field.counter.mul > 0
+        assert field.counter.words == WordOpCounter()
+        assert field.counter.state()[len(FIELD_OPS):] == (0,) * 6
+        assert field.counter.copy().words == WordOpCounter()
+        assert field.counter.delta(FieldOpCounter()).words == WordOpCounter()
+
+    def test_costs_are_set_before_any_op(self):
+        field = FIELDS["opf160"]()
+        _ = field.from_int(3)  # one counted Montgomery mul
+        cost = WordOpCounter(mul=1)
+        with pytest.raises(ValueError):
+            field.counter.derive_words(cost, cost, cost)
 
 
 def _pin_inputs(key):
@@ -280,8 +310,9 @@ def test_ecdh_state_pinned(key):
 
 
 def test_span_attrs_match_state_deltas():
-    """Spans price their interval through mark()/since(), memoized per
-    interval; the attrs equal the state() delta, span after span."""
+    """Spans record the op counts at open and price the count delta at
+    close, memoized per (delta, costs); the attrs equal the state() delta,
+    span after span."""
     field = FIELDS["opf160"]()
     a, b = field.from_int(3), field.from_int(5)
     tracer = Tracer(cost_fn=lambda delta: delta.mul + delta.words.mul)
@@ -292,7 +323,7 @@ def test_span_attrs_match_state_deltas():
             with tracer.span("op", counter=field.counter):
                 _ = a * b + a - b
                 if i == 2:
-                    _ = field.counter.words  # a fold inside the span
+                    _ = -a  # a different delta, priced afresh
             after = field.counter.state()
             expected.append([x - y for x, y in zip(after, before)])
     for span, delta in zip(tracer.roots, expected):

@@ -130,7 +130,7 @@ class TestCounting:
         field = OptimalPrimeField(65356, 144)
         a = field.from_int(3)
         b = field.from_int(5)
-        field.counter.words.reset()
+        field.counter.reset()
         _ = a * b
         assert field.counter.words.mul == 30  # s^2 + s
 

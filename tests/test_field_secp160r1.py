@@ -71,6 +71,6 @@ class TestArithmetic:
         field = Secp160r1Field()
         a = field.from_int(3)
         b = field.from_int(7)
-        field.counter.words.reset()
+        field.counter.reset()
         _ = a * b
         assert field.counter.words.mul == 25  # s^2 word muls in the product

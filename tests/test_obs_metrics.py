@@ -60,17 +60,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("lat").percentile(101)
 
-    def test_merge_combines_buckets(self):
-        a, b = Histogram("lat"), Histogram("lat")
-        for v in (1, 2, 4):
-            a.observe(v)
-        for v in (1024, 2048):
-            b.observe(v)
-        a.merge(b)
-        assert a.count == 5
-        assert a.sum == pytest.approx(3079.0)
-        assert a.percentile(99) >= 512
-
     def test_registry_snapshot_flattens(self):
         reg = MetricsRegistry()
         reg.histogram("lat").observe(100)

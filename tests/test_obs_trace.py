@@ -22,6 +22,14 @@ class FakeClock:
         return self.now
 
 
+def _priced_counter():
+    """A counter whose mul costs 30 word muls and 3 loads, add 5 adds."""
+    counter = FieldOpCounter()
+    counter.derive_words(add=WordOpCounter(add=5), sub=WordOpCounter(sub=5),
+                         mul=WordOpCounter(mul=30, load=3))
+    return counter
+
+
 @pytest.fixture
 def tracer():
     return Tracer(clock=FakeClock())
@@ -63,15 +71,21 @@ class TestSpanLifecycle:
         assert trace_mod.CURRENT is None
 
     def test_counter_delta_attached_on_close(self, tracer):
-        counter = FieldOpCounter()
+        counter = _priced_counter()
         counter.mul = 7
-        counter.words.load = 3
         with tracer.span("op", counter=counter):
             counter.mul += 2
-            counter.words.load += 5
         span = tracer.roots[0]
         assert span.attrs["field_ops"] == {"mul": 2}
-        assert span.attrs["word_ops"] == {"load": 5}
+        assert span.attrs["word_ops"] == {"mul": 60, "load": 6}
+
+    def test_counter_without_costs_has_no_word_ops(self, tracer):
+        counter = FieldOpCounter()
+        with tracer.span("op", counter=counter):
+            counter.mul += 2
+        span = tracer.roots[0]
+        assert span.attrs["field_ops"] == {"mul": 2}
+        assert "word_ops" not in span.attrs
 
     def test_cost_fn_prices_the_delta(self):
         tr = Tracer(clock=FakeClock(),
@@ -180,28 +194,27 @@ class TestFieldInstrumentation:
 
 
 class TestCounterCopies:
-    """Satellite fix: delta()/copy() must carry the word-level tallies."""
+    """delta()/copy() keep the word costs, so they price their words."""
 
     def test_field_counter_copy_is_independent(self):
-        c = FieldOpCounter()
-        c.mul, c.words.mul = 3, 50
+        c = _priced_counter()
+        c.mul = 3
         snap = c.copy()
         c.mul += 1
-        c.words.mul += 10
-        assert (snap.mul, snap.words.mul) == (3, 50)
+        assert (snap.mul, snap.words.mul, snap.words.load) == (3, 90, 9)
 
     def test_field_counter_delta_includes_words(self):
-        c = FieldOpCounter()
-        c.mul, c.words.mul, c.words.load = 3, 50, 8
+        c = _priced_counter()
+        c.mul, c.add = 3, 1
         snap = c.copy()
         c.mul += 2
-        c.words.mul += 25
-        c.words.load += 4
+        c.add += 4
         delta = c.delta(snap)
-        assert delta.mul == 2
-        assert delta.words.mul == 25
-        assert delta.words.load == 4
-        assert delta.words.total() == 29
+        assert (delta.mul, delta.add) == (2, 4)
+        assert delta.words.mul == 60
+        assert delta.words.add == 20
+        assert delta.words.load == 6
+        assert delta.words.total() == 86
 
     def test_word_counter_copy_and_delta(self):
         w = WordOpCounter(mul=5, add=2)
