@@ -31,7 +31,8 @@ bench-check:
 # (reference interpreter vs the basic-block rung vs superblocks — bit-
 # and cycle-exact on every kernel),
 # the SREG dead-flag property tests and the forced mid-superblock
-# fallback cases, plus the three-way differential fuzz harness.
+# fallback cases, plus the three-way differential fuzz harness.  For
+# local use: CI's tier-1 step already runs both files in full.
 trace-smoke:
 	$(PYTHON) -m pytest -q tests/test_avr_trace.py
 	$(PYTHON) -m pytest -q tests/test_avr_fuzz.py -k trace

@@ -3,9 +3,10 @@
 The paper splits Table II into "high-speed" and "constant round" columns
 and argues the latter resist timing/SPA attacks because their execution
 profile does not depend on the scalar.  This module makes that claim
-quantitatively checkable on the reproduction (the TVLA-style extension
-of DESIGN.md §6; the *active* implementation-attack counterpart is
-DESIGN.md §7 "Fault model & countermeasures"):
+quantitatively checkable on the reproduction, TVLA-style.  Its
+passive, instruction-level counterpart is DESIGN.md §9 "Constant-time
+verification"; the *active* implementation-attack counterpart is
+DESIGN.md §7 "Fault model & countermeasures":
 
 * :func:`collect_traces` runs a method over many scalars and records the
   exact field-operation vector and its cycle estimate per run;

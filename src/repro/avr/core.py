@@ -17,10 +17,10 @@ error).
 * :mod:`repro.avr.trace` (``engine="trace"``, the default) — straight-line
   paths stitched across CALL/RET and fall-through boundaries, compiled
   ahead of time into specialised functions and guarded per dispatch.  Its
-  fallback ladder: a profiled run goes to the basic-block
-  :class:`~repro.avr.engine.FastEngine` (exact per-block tallies), armed
-  watchpoints to :meth:`run_watched`, a deep MAC queue to one compiled
-  block, an ineligible entry to one :meth:`step`.
+  fallback ladder: a flash change invalidates the compiled superblocks,
+  a profiled run goes to the basic-block
+  :class:`~repro.avr.engine.FastEngine` (exact per-block tallies), an
+  ineligible entry to one :meth:`step`.
 * :meth:`step` (``engine="reference"``) — the reference interpreter, the
   simplest statement of the semantics; the differential tests hold the
   dispatcher equal to it.
@@ -30,6 +30,13 @@ injector and the taint tracker stride on it too.  Profiling works on both
 engines: the interpreter records every retired instruction, the
 basic-block engine folds compiled per-block tallies into the profiler at
 run end — the parity tests assert identical tallies.
+
+MAC hazards have one contract (paper Sec. IV-A, Algorithm 2): an
+instruction that touches a MAC-owned register while nibble MACs are in
+flight, or a trigger load that finds more than one nibble still pending,
+raises :class:`~repro.avr.mac.MacHazardError`.  The MAC unit never stalls.
+A consequence every tier relies on: at most two nibbles are pending at any
+instruction boundary.
 """
 
 from __future__ import annotations
@@ -59,14 +66,11 @@ class AvrCore:
 
     def __init__(self, program: Optional[ProgramMemory] = None,
                  mode: Mode = Mode.CA, sram_size: int = 4096,
-                 hazard_policy: str = "error", engine: str = "trace"):
-        if hazard_policy not in ("error", "stall", "ignore"):
-            raise ValueError(f"unknown hazard policy {hazard_policy!r}")
+                 engine: str = "trace"):
         if engine not in ("trace", "reference"):
             raise ValueError(f"unknown execution engine {engine!r}")
         self.program = program or ProgramMemory()
         self.mode = mode
-        self.hazard_policy = hazard_policy
         self.data = DataSpace(sram_size=sram_size)
         self.sreg = StatusRegister()
         self.pc = 0
@@ -94,15 +98,6 @@ class AvrCore:
         self.engine = engine
         self._fast_engine = None  # see the fast_engine property
         self._trace_engine = None  # lazily constructed repro.avr.trace
-        #: Data-space watchpoints: byte addresses whose writes should be
-        #: recorded.  A non-empty set routes :meth:`run` to
-        #: :meth:`run_watched` (reference stepping) regardless of the
-        #: configured engine — compiled code is not legal under
-        #: watchpoints and falls back by construction.
-        self.watchpoints: set = set()
-        #: ``(pc, address, old, new)`` tuples recorded by
-        #: :meth:`run_watched`; cleared on :meth:`reset`.
-        self.watch_hits: list = []
         #: Optional profiler (attach with :meth:`attach_profiler`).
         self.profiler = None
         #: Raw per-block tallies while the basic-block engine runs profiled
@@ -155,7 +150,6 @@ class AvrCore:
         self.mac.pending.clear()
         self.mac.mac_ops = 0
         self.data.sp = self.data.size - 1
-        self.watch_hits.clear()
 
     # -- MAC notifications (called from instruction semantics) -------------------
 
@@ -196,43 +190,30 @@ class AvrCore:
         pc = self.pc
         spec, ops, words = self.decode_at(pc)
 
-        # MAC hazard handling: nibble MACs scheduled by a previous load are
+        # MAC hazard check: nibble MACs scheduled by a previous load are
         # still in flight during this instruction's cycles.
         pre_pending = len(self.mac.pending)
-        stall_cycles = 0
         if pre_pending and conflicts_with_mac(spec.name, ops):
-            is_trigger_load = spec.name in _LOAD_NAMES and ops.get("d") == 24
-            if is_trigger_load and pre_pending > 1:
+            if spec.name in _LOAD_NAMES and ops.get("d") == 24:
                 # A new trigger load needs both following cycles for its own
                 # MACs; more than one leftover nibble oversubscribes the unit
                 # (Algorithm 2 issues a trigger at most every other cycle).
-                if self.hazard_policy == "error":
+                if pre_pending > 1:
                     raise MacHazardError(
                         f"MAC issue-rate exceeded at pc={self.pc:#06x}: "
                         f"{pre_pending} nibble MACs still pending"
                     )
-                if self.hazard_policy == "stall":
-                    while len(self.mac.pending) > 1:
-                        self.mac.drain_one(self.data)
-                        stall_cycles += 1
-                    pre_pending = 1
-            if not is_trigger_load:
-                if self.hazard_policy == "error":
-                    raise MacHazardError(
-                        f"{spec.name} touches MAC-owned registers at "
-                        f"pc={self.pc:#06x} while {pre_pending} MAC(s) pending"
-                    )
-                if self.hazard_policy == "stall":
-                    while self.mac.pending:
-                        self.mac.drain_one(self.data)
-                        stall_cycles += 1
-                    pre_pending = 0
+            else:
+                raise MacHazardError(
+                    f"{spec.name} touches MAC-owned registers at "
+                    f"pc={self.pc:#06x} while {pre_pending} MAC(s) pending"
+                )
 
         self.last_branch_taken = False
         self.last_skip_words = 0
         next_pc = EXECUTORS[spec.semantics](self, ops)
         cycles = dynamic_cycles(spec, self.mode, self.last_branch_taken,
-                                self.last_skip_words) + stall_cycles
+                                self.last_skip_words)
 
         # Drain previously scheduled MACs — one per elapsed cycle.
         for _ in range(min(cycles, pre_pending)):
@@ -255,14 +236,11 @@ class AvrCore:
 
         Dispatches to the superblock :class:`~repro.avr.trace.TraceEngine`
         unless the core was built with ``engine="reference"``
-        (interpreter).  Armed watchpoints route the run to
-        :meth:`run_watched` regardless of engine.  An attached profiler
-        rides along on both engines; frames still open when the program
-        halts are closed at the final cycle count.
+        (interpreter).  An attached profiler rides along on both engines;
+        frames still open when the program halts are closed at the final
+        cycle count.
         """
-        if self.watchpoints:
-            cycles = self.run_watched(max_steps)
-        elif self.engine == "reference":
+        if self.engine == "reference":
             cycles = self.run_reference(max_steps)
         else:
             if self._trace_engine is None:
@@ -279,35 +257,6 @@ class AvrCore:
         steps = 0
         while not self.halted:
             self.step()
-            steps += 1
-            if steps > max_steps:
-                raise ExecutionError(
-                    f"step budget of {max_steps} exceeded at pc={self.pc:#06x}"
-                )
-        return self.cycles
-
-    def run_watched(self, max_steps: int = 50_000_000) -> int:
-        """Reference stepping that records writes to :attr:`watchpoints`.
-
-        Every retired instruction that changes a watched data-space byte
-        appends ``(pc, address, old, new)`` to :attr:`watch_hits` (*pc* is
-        the address of the writing instruction).  The watchpoint set is
-        snapshot at entry.  This is the bottom of the fallback ladder: the
-        compiled engines hand a run over here as soon as the set becomes
-        non-empty.
-        """
-        mem = self.data._mem
-        watched = tuple(sorted(self.watchpoints))
-        old = {a: mem[a] for a in watched}
-        steps = 0
-        while not self.halted:
-            pc = self.pc
-            self.step()
-            for a in watched:
-                v = mem[a]
-                if v != old[a]:
-                    self.watch_hits.append((pc, a, old[a], v))
-                    old[a] = v
             steps += 1
             if steps > max_steps:
                 raise ExecutionError(

@@ -16,7 +16,7 @@ changing a single observable bit:
   lines of direct ``bytearray`` indexing), SREG lives in a local integer
   with the exact flag equations of :mod:`repro.avr.sreg` folded in, and the
   block's cycle count is a compile-time constant plus the dynamically taken
-  branch/skip/stall extras.
+  branch/skip extras.
 * The MAC/hazard machinery is compiled in **only when the core runs in ISE
   mode** — CA and FAST blocks carry no trace of it.  In ISE blocks the
   hazard verdict of :func:`repro.avr.mac.conflicts_with_mac` is evaluated at
@@ -44,8 +44,8 @@ state for MAC hazards, illegal opcodes and out-of-range memory traffic.
 Role: :meth:`AvrCore.run` dispatches through :mod:`repro.avr.trace`;
 this engine is not selected by ``engine=``.  It is the rung the dispatcher
 falls back to for profiled runs (the only tier with exact per-block
-tallies) and deep MAC queues, and the compiled stride of fault injection
-and taint tracking.  Each core owns one instance
+tallies), and the compiled stride of fault injection and taint
+tracking.  Each core owns one instance
 (:attr:`AvrCore.fast_engine`).
 
 The engine assumes the I/O hook layout installed by :class:`AvrCore` (SREG
@@ -165,11 +165,9 @@ _CACHE_MAX = 4096
 class _Gen:
     """Source accumulator with indentation tracking."""
 
-    def __init__(self, mode: Mode, policy: str, size: int,
-                 profiled: bool = False):
+    def __init__(self, mode: Mode, size: int, profiled: bool = False):
         self.mode = mode
         self.ise = mode is Mode.ISE
-        self.policy = policy
         self.size = size
         self.profiled = profiled
         #: Dynamic-extra sites in emission order; each entry is the index
@@ -434,55 +432,26 @@ class _Gen:
             self.mac_issue(from_pend=True)
             self.ind -= 1
 
-    def hazards(self, pc: int, spec: InstructionSpec, ops: dict) -> bool:
-        """Pre-execution MAC hazard handling; all verdicts compile-time.
-
-        Returns True when stall-drain code was emitted: the caller must then
-        emit ``x += sx`` once the instruction can no longer raise, so that an
-        exception mid-instruction leaves ``cycles`` exactly as the reference
-        interpreter does (it never counts a faulting instruction's cycles).
-        """
+    def hazards(self, pc: int, spec: InstructionSpec, ops: dict) -> None:
+        """Pre-execution MAC hazard check; the conflict verdict is
+        compile-time, only the pending count is tested at runtime."""
         if not self.ise:
-            return False
+            return
         self.have_pp = conflicts_with_mac(spec.name, ops)
         if not self.have_pp:
-            return False
+            return
         self.w("pp = pl")
-        trigger = spec.name in _LOAD_NAMES and ops.get("d") == 24
-        if trigger:
-            if self.policy == "error":
-                self.w("if pp > 1:")
-                self.w("    raise MacHazardError(")
-                self.w(f"        f\"MAC issue-rate exceeded at pc={pc:#06x}:"
-                       " {pp} nibble MACs still pending\")")
-            elif self.policy == "stall":
-                self.w("sx = 0")
-                self.w("while pl > 1:")
-                self.ind += 1
-                self.mac_issue(from_pend=True)
-                self.w("sx += 1")
-                self.ind -= 1
-                self.w("if sx:")
-                self.w("    pp = 1")
-                return True
+        if spec.name in _LOAD_NAMES and ops.get("d") == 24:
+            self.w("if pp > 1:")
+            self.w("    raise MacHazardError(")
+            self.w(f"        f\"MAC issue-rate exceeded at pc={pc:#06x}:"
+                   " {pp} nibble MACs still pending\")")
         else:
-            if self.policy == "error":
-                self.w("if pp:")
-                self.w("    raise MacHazardError(")
-                self.w(f"        f\"{spec.name} touches MAC-owned registers"
-                       f" at pc={pc:#06x} while "
-                       "{pp} MAC(s) pending\")")
-            elif self.policy == "stall":
-                self.w("sx = 0")
-                self.w("while pl:")
-                self.ind += 1
-                self.mac_issue(from_pend=True)
-                self.w("sx += 1")
-                self.ind -= 1
-                self.w("if sx:")
-                self.w("    pp = 0")
-                return True
-        return False
+            self.w("if pp:")
+            self.w("    raise MacHazardError(")
+            self.w(f"        f\"{spec.name} touches MAC-owned registers"
+                   f" at pc={pc:#06x} while "
+                   "{pp} MAC(s) pending\")")
 
 
 # ---------------------------------------------------------------------------
@@ -919,11 +888,7 @@ def _emit_instruction(g: _Gen, i: int, pc: int, spec: InstructionSpec,
     terminators) the ``npc`` assignment plus dynamic cycle extras."""
     sem = spec.semantics
     g.mark(i)
-    stalled = g.hazards(pc, spec, ops)
-    if stalled and sem in _CONDITIONAL:
-        # Condition evaluation cannot raise, so the stall cycles are final.
-        g.extra("sx")
-        stalled = False
+    g.hazards(pc, spec, ops)
     if g.ise and any(v <= 8 for v in _touched_regs(sem, ops)):
         # The instruction reads or writes accumulator registers directly:
         # R0..R8 must hold the truth before its body runs.  Writes are then
@@ -1088,8 +1053,6 @@ def _emit_instruction(g: _Gen, i: int, pc: int, spec: InstructionSpec,
         for v in written:
             if 26 <= v <= 31:
                 g.ptr_invalidate(v & ~1)
-    if stalled:
-        g.extra("sx")
     if sem not in _CONDITIONAL:
         g.drains(cyc)
 
@@ -1099,13 +1062,13 @@ def compile_block(core, start_pc: int, profiled: bool = False):
 
     With *profiled*, the closure additionally bumps its hit counter and
     dynamic-extra site slots in ``core._engine_profile`` (one integer
-    increment per block plus one per taken branch/skip/stall), records
+    increment per block plus one per taken branch/skip), records
     partial executions on exceptions, and stamps call/return events —
     everything :meth:`repro.avr.profiler.EngineProfile.fold_into` needs to
     reproduce the reference interpreter's tallies exactly.
     """
     instrs, next_pc, illegal, key_words = _scan(core, start_pc)
-    mode, policy, size = core.mode, core.hazard_policy, core.data.size
+    mode, size = core.mode, core.data.size
 
     if not instrs:
         # Decode fails immediately: delegate to decode_at at runtime so the
@@ -1131,13 +1094,13 @@ def compile_block(core, start_pc: int, profiled: bool = False):
             skip_lookahead = instruction_words(word)
             key_words.append(word)
 
-    key = (start_pc, mode, policy, size, illegal, profiled, tuple(key_words))
+    key = (start_pc, mode, size, illegal, profiled, tuple(key_words))
     fn = _CACHE.get(key)
     if fn is not None:
         _M_CACHE_HITS.inc()
         return fn
 
-    g = _Gen(mode, policy, size, profiled)
+    g = _Gen(mode, size, profiled)
     cycles = [base_cycles(spec, mode) for _, spec, _ in instrs]
     cyc_before = [0]
     for c in cycles:

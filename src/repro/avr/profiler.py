@@ -263,7 +263,7 @@ class BlockStatic:
     """Compile-time profile of one basic block (shared via the block cache).
 
     ``instrs`` lists ``(pc, group, base_cycles)`` per instruction;
-    ``sites`` maps each dynamic-extra site (taken branch, skip, MAC stall)
+    ``sites`` maps each dynamic-extra site (taken branch or skip)
     to the index of the instruction it belongs to.  The per-group and
     per-PC aggregates are precomputed here so the per-run fold is a
     handful of ``Counter.update`` calls (C-speed dict merges) instead of

@@ -42,18 +42,10 @@ Fallback ladder (the tier is legal only when its guards hold):
 
 * ``core.program.version`` is checked on every dispatch — a flash write
   invalidates all superblocks before the next one runs.
-* ``core.watchpoints`` non-empty hands the rest of the run to
-  :meth:`AvrCore.run_watched` (reference stepping with hit recording);
-  arming a watchpoint from an I/O hook therefore takes effect at the next
-  dispatch boundary, and the interrupted superblock has already side-exited
-  *before* the hooked instruction ran.
 * An attached profiler delegates the whole run to :class:`FastEngine`,
   which carries exact per-block tallies; taint tracking and fault
   injection drive the core's :attr:`~AvrCore.fast_engine` / reference
   stepping themselves.
-* A deep MAC queue (more than 4 pending nibbles, only reachable under the
-  ``"ignore"`` hazard policy) executes one compiled block of the fast
-  engine.
 * A PC whose first instruction is ineligible (I/O escape, illegal opcode)
   executes one reference :meth:`AvrCore.step` — hooks and exceptions
   behave exactly as in the interpreter.
@@ -78,7 +70,6 @@ from .mac import MacHazardError, conflicts_with_mac
 from .timing import Mode, base_cycles
 from .engine import (
     _ACC_MASK,
-    _CONDITIONAL,
     _INDIRECT,
     _LOAD_NAMES,
     _Gen,
@@ -218,25 +209,23 @@ class _TraceGen(_Gen):
     time.  Along a straight-line path the queue is deterministic: pushes
     happen at trigger loads (``load_enabled`` cannot change inside a
     superblock, because ``OUT MACCR`` is an I/O escape), drains consume
-    ``min(cycles, pre-pending)`` per instruction, and stall/hazard verdicts
+    ``min(cycles, pre-pending)`` per instruction, and hazard verdicts
     follow from the queue length.  Given the entry state ``(pending length,
     load_enabled, swap_enabled)`` — part of the superblock key — every
     ``if pl:`` / ``if dirty:`` / ``if not mok:`` test of the fast engine
     becomes either nothing or an unconditional statement.
     """
 
-    def __init__(self, mode: Mode, policy: str, size: int,
+    def __init__(self, mode: Mode, size: int,
                  pcs: List[int], live: List[int],
                  mac_entry: Optional[tuple]):
-        super().__init__(mode, policy, size, profiled=False)
+        super().__init__(mode, size, profiled=False)
         self._pcs = pcs
         self._live = live
         self.rused: set = set()
         self.rwritten: set = set()
         self.sp_used = False
         self.sp_written = False
-        self._stalled = False
-        self._stall_sx = 0
         self._region_start = 0
         # Lowest promoted register: ISE keeps the MAC accumulator R0..R8
         # in memory — the lazy accumulator flush writes m[0:9] directly.
@@ -336,7 +325,6 @@ class _TraceGen(_Gen):
         self._peephole(self._region_start)
         super().mark(ic)
         self._region_start = len(self.lines)
-        self._stalled = False
         self._last_adef = None
 
     def finalize(self) -> None:
@@ -344,23 +332,13 @@ class _TraceGen(_Gen):
         self._region_start = len(self.lines)
         self._patch_guards()
 
-    def extra(self, amount: str) -> None:
-        # The stall-cycle local ``sx`` of the fast engine is a compile-time
-        # constant here (the stall drain count is static).
-        if amount == "sx":
-            amount = str(self._stall_sx)
-        super().extra(amount)
-
     def precheck(self, addr: str) -> None:
         # The bounds test the fast engine pays on every indirect access,
         # turned into a side exit that fires *before* the instruction
         # commits any state; the reference interpreter then re-executes it
-        # with full hook semantics.  Stall-drain cycles already paid (the
-        # drains mutated the MAC state) are exported with the exit so the
-        # re-execution, which finds the queue empty, totals exactly the
-        # reference count.  When the address is an affine offset of a
-        # tracked pointer epoch the per-access test is elided entirely —
-        # the epoch's hoisted range guard (:meth:`_aff_access`) subsumes
+        # with full hook semantics.  When the address is an affine offset
+        # of a tracked pointer epoch the per-access test is elided entirely
+        # — the epoch's hoisted range guard (:meth:`_aff_access`) subsumes
         # it.
         if addr == "A":
             adef = self._last_adef
@@ -371,10 +349,9 @@ class _TraceGen(_Gen):
                 return
         i = self.cur_ic
         self.exit_ics.add(i)
-        sx = f"x += {self._stall_sx}; " if self._stalled else ""
         fix = "".join(s + "; " for s in self._exit_stmts())
         self.w(f"if not (0x5F < {addr} < {self.size}): "
-               f"{fix}epc = {self._pcs[i]}; ei = {i}; {sx}raise _SX")
+               f"{fix}epc = {self._pcs[i]}; ei = {i}; raise _SX")
 
     # -- affine bounds-guard hoisting ----------------------------------------
 
@@ -455,7 +432,6 @@ class _TraceGen(_Gen):
             gd = {
                 "var": var, "tag": f"#G{len(self._guards)}",
                 "epc": self._pcs[i], "ei": i,
-                "sx": self._stall_sx if self._stalled else 0,
                 "fix": self._exit_stmts(),
                 "amin": off, "amax": off, "pmin": 0, "pmax": 0,
             }
@@ -491,11 +467,10 @@ class _TraceGen(_Gen):
         for gd in self._guards:
             lo = max(0x5F - gd["amin"], -gd["pmin"] - 1)
             hi = min(self.size - gd["amax"], 0x10000 - gd["pmax"])
-            sx = f"x += {gd['sx']}; " if gd["sx"] else ""
             fix = "".join(s + "; " for s in gd["fix"])
             self.lines[where[gd["tag"]]] = (
                 f"{ind}if not ({lo} < {gd['var']} < {hi}): "
-                f"{fix}epc = {gd['epc']}; ei = {gd['ei']}; {sx}raise _SX")
+                f"{fix}epc = {gd['epc']}; ei = {gd['ei']}; raise _SX")
 
     # -- load-fusing peephole -----------------------------------------------
 
@@ -697,41 +672,26 @@ class _TraceGen(_Gen):
     def mac_invalidate_mulc(self) -> None:
         self._mmok = False
 
-    def hazards(self, pc: int, spec: InstructionSpec, ops: dict) -> bool:
+    def hazards(self, pc: int, spec: InstructionSpec, ops: dict) -> None:
         """Compile-time MAC hazard resolution.
 
-        The queue length is static, so the verdict is too: conflicts either
-        emit nothing (queue empty), an unconditional raise (error policy)
-        or exactly the right number of unrolled stall drains (stall
-        policy), with the stall-cycle count folded into :meth:`extra`.
+        The queue length is static, so the verdict is too: a conflict
+        emits nothing (queue empty) or an unconditional raise.
         """
-        self._stalled = False
         if not self.ise:
-            return False
+            return
         mpl = len(self._nibq)
         if mpl and conflicts_with_mac(spec.name, ops):
-            trigger = spec.name in _LOAD_NAMES and ops.get("d") == 24
-            if trigger:
+            if spec.name in _LOAD_NAMES and ops.get("d") == 24:
                 if mpl > 1:
-                    if self.policy == "error":
-                        msg = (f"MAC issue-rate exceeded at pc={pc:#06x}: "
-                               f"{mpl} nibble MACs still pending")
-                        self._emit_hazard_raise(msg)
-                    elif self.policy == "stall":
-                        self._issue_batch(mpl - 1)
-                        self._stall_sx = mpl - 1
-                        self._stalled = True
+                    self._emit_hazard_raise(
+                        f"MAC issue-rate exceeded at pc={pc:#06x}: "
+                        f"{mpl} nibble MACs still pending")
             else:
-                if self.policy == "error":
-                    msg = (f"{spec.name} touches MAC-owned registers at "
-                           f"pc={pc:#06x} while {mpl} MAC(s) pending")
-                    self._emit_hazard_raise(msg)
-                elif self.policy == "stall":
-                    self._issue_batch(mpl)
-                    self._stall_sx = mpl
-                    self._stalled = True
+                self._emit_hazard_raise(
+                    f"{spec.name} touches MAC-owned registers at "
+                    f"pc={pc:#06x} while {mpl} MAC(s) pending")
         self._pp_cap = len(self._nibq)
-        return self._stalled
 
     def _emit_hazard_raise(self, msg: str) -> None:
         # The raise always fires (the queue depth is static), so the exit
@@ -944,7 +904,7 @@ def _scan_superblock(core, start_pc: int):
 
 
 def _pre_body(g: _TraceGen, i: int, pc: int, spec: InstructionSpec,
-              ops: dict) -> bool:
+              ops: dict) -> None:
     """Shared pre-body emission for internally stitched control flow.
 
     Mirrors the opening of :func:`repro.avr.engine._emit_instruction`:
@@ -953,13 +913,9 @@ def _pre_body(g: _TraceGen, i: int, pc: int, spec: InstructionSpec,
     """
     sem = spec.semantics
     g.mark(i)
-    stalled = g.hazards(pc, spec, ops)
-    if stalled and sem in _CONDITIONAL:
-        g.extra("sx")  # condition evaluation cannot raise: cycles final
-        stalled = False
+    g.hazards(pc, spec, ops)
     if g.ise and any(v <= 8 for v in _touched_regs(sem, ops)):
         g.mac_flush_low()
-    return stalled
 
 
 def _emit_internal_branch(g: _TraceGen, i: int, pc: int, ops: dict,
@@ -1099,7 +1055,7 @@ def compile_superblock(core, start_pc: int):
     I/O escape or an undecodable word) — the dispatcher then takes one
     reference step instead.
     """
-    mode, policy, size = core.mode, core.hazard_policy, core.data.size
+    mode, size = core.mode, core.data.size
     if mode is Mode.ISE:
         # The static MAC model specialises on the entry state — including
         # the 3-bit issue counter, so every drain's shift position is a
@@ -1109,7 +1065,7 @@ def compile_superblock(core, start_pc: int):
                      core.mac.load_enabled, core.mac.swap_enabled)
     else:
         mac_entry = None
-    key = (start_pc, mode, policy, size, mac_entry,
+    key = (start_pc, mode, size, mac_entry,
            _program_fingerprint(core.program))
     fn = _TRACE_CACHE.get(key)
     if fn is not None:
@@ -1129,7 +1085,7 @@ def compile_superblock(core, start_pc: int):
     pcs.append(trailing_npc if trailing_npc is not None else 0)
 
     def emit(live: List[int]) -> _TraceGen:
-        g = _TraceGen(mode, policy, size, pcs, live, mac_entry)
+        g = _TraceGen(mode, size, pcs, live, mac_entry)
         for i, (pc, spec, ops, flow) in enumerate(items):
             kind = flow[0]
             sem = spec.semantics
@@ -1145,7 +1101,7 @@ def compile_superblock(core, start_pc: int):
                 _emit_instruction(g, i, pc, spec, ops, cycles[i],
                                   skip_lookahead if i == n - 1 else None)
                 continue
-            stalled = _pre_body(g, i, pc, spec, ops)
+            _pre_body(g, i, pc, spec, ops)
             if kind == "goto":
                 pass  # the successor is compiled in; only cycles remain
             elif kind == "call":
@@ -1157,8 +1113,6 @@ def compile_superblock(core, start_pc: int):
             elif kind == "skip":
                 _emit_internal_skip(g, i, ops, sem, flow[1], flow[2])
             if kind in ("goto", "call", "ret"):
-                if stalled:
-                    g.extra("sx")
                 g.drains(cycles[i])
                 if kind == "ret":
                     g.w(f"if npc != {flow[1]}:")
@@ -1279,14 +1233,13 @@ def compile_superblock(core, start_pc: int):
 class TraceEngine:
     """Guarded superblock dispatcher with a transparent fallback ladder.
 
-    Per dispatch it checks the flash version (invalidating on any change)
-    and the watchpoint set (handing the rest of the run to reference
-    stepping when armed); profiled runs delegate wholly to the core's
-    fast engine, whose closures carry exact tally bookkeeping.  Entry PCs that
-    cannot head a superblock — and superblock executions that make no
-    progress because the very first instruction side-exits (an indirect
-    access landing in I/O space) — take a single reference step, so hook
-    semantics are always the interpreter's.
+    Per dispatch it checks the flash version (invalidating on any change);
+    profiled runs delegate wholly to the core's fast engine, whose closures
+    carry exact tally bookkeeping.  Entry PCs that cannot head a
+    superblock — and superblock executions that make no progress because
+    the very first instruction side-exits (an indirect access landing in
+    I/O space) — take a single reference step, so hook semantics are
+    always the interpreter's.
     """
 
     def __init__(self, core):
@@ -1315,37 +1268,28 @@ class TraceEngine:
             if core.program.version != self.version:
                 self.invalidate()
                 self.version = core.program.version
-            if core.watchpoints:
-                used = core.instructions_retired - retired_start
-                return core.run_watched(max_steps - used)
             pc = core.pc
             if ise:
-                # Superblocks are specialised on the MAC entry state; a
-                # pathologically deep queue (only reachable under the
-                # "ignore" hazard policy) drops to the fast tier.
-                pl0 = len(pending)
-                key = (pc, pl0, mac.counter,
+                # Superblocks are specialised on the MAC entry state (at
+                # most two nibbles pending at any instruction boundary).
+                key = (pc, len(pending), mac.counter,
                        mac.load_enabled, mac.swap_enabled)
             else:
-                pl0 = 0
                 key = pc
-            if pl0 > 4:
-                core.fast_engine.step_block()
+            fn = sbs_get(key, missing)
+            if fn is missing:
+                fn = compile_superblock(core, pc)
+                sbs[key] = fn
+            if fn is None:
+                core.step()  # ineligible entry: I/O escape, illegal word
             else:
-                fn = sbs_get(key, missing)
-                if fn is missing:
-                    fn = compile_superblock(core, pc)
-                    sbs[key] = fn
-                if fn is None:
-                    core.step()  # ineligible entry: I/O escape, illegal word
-                else:
-                    before = core.instructions_retired
-                    fn(core)
-                    if (core.instructions_retired == before
-                            and not core.halted):
-                        # The entry instruction itself side-exited (indirect
-                        # access into I/O space): reference-step it once.
-                        core.step()
+                before = core.instructions_retired
+                fn(core)
+                if (core.instructions_retired == before
+                        and not core.halted):
+                    # The entry instruction itself side-exited (indirect
+                    # access into I/O space): reference-step it once.
+                    core.step()
             if core.instructions_retired - retired_start > max_steps:
                 from .core import ExecutionError
 

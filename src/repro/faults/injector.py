@@ -44,7 +44,7 @@ from .model import FaultSpec
 __all__ = ["AppliedFault", "FaultInjector"]
 
 #: Conservative upper bound on the cycles one instruction can consume
-#: (longest CALL/RET timing plus MAC stall drain headroom in ISE mode).
+#: (the longest CALL/RET timing is 4, with headroom).
 _MAX_INSTR_CYCLES = 16
 
 #: A compiled block can never cost more cycles than this.

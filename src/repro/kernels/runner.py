@@ -24,13 +24,11 @@ class KernelRunner:
     """Assemble once, run many times with fresh operands."""
 
     def __init__(self, source: str, mode: Mode = Mode.CA,
-                 hazard_policy: str = "error", sram_size: int = 8192,
-                 engine: str = "trace"):
+                 sram_size: int = 8192, engine: str = "trace"):
         self.source = source
         self.mode = mode
         self.program = assemble(source)
         self.core = AvrCore(ProgramMemory(), mode=mode,
-                            hazard_policy=hazard_policy,
                             sram_size=sram_size, engine=engine)
         self.program.load_into(self.core.program)
         self.profiler: Optional[Profiler] = None

@@ -46,8 +46,6 @@ from .trace import (
     Tracer,
     install,
     new_trace_id,
-    span_from_dict,
-    span_to_dict,
     traced,
     uninstall,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "traced",
     "uninstall",
     "new_trace_id",
-    "span_to_dict",
-    "span_from_dict",
     "FlightRecorder",
     "RequestTrace",
     "assemble",

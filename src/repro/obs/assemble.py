@@ -3,10 +3,9 @@
 The serving stack (DESIGN.md §8) stamps each traced request's stages as
 it moves through a serving process (accept -> queue -> execute ->
 reply) and runs the cryptography under a fresh
-:class:`~repro.obs.trace.Tracer`, keeping its span tree as
-:func:`~repro.obs.trace.span_to_dict` payloads; the client may stamp
-its own send/receive times in another process.  This module does the
-join.
+:class:`~repro.obs.trace.Tracer`, keeping its span tree; the client
+may stamp its own send/receive times in another process.  This module
+does the join.
 
 * :class:`RequestTrace` is the per-request record the server accumulates
   as the request moves through the pipeline — trace id, stage
@@ -39,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .trace import Span, span_from_dict
+from .trace import Span
 
 __all__ = [
     "RequestTrace",
@@ -64,9 +63,9 @@ class RequestTrace:
     t_dispatch_ns: Optional[int] = None
     #: Set when the reply was written back to the client.
     t_reply_ns: Optional[int] = None
-    #: The execution's span tree (span_to_dict roots); empty when the
-    #: request never ran — shed, expired, or answered inline.
-    spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: The execution's root spans; empty when the request never ran —
+    #: shed, expired, or answered inline.
+    spans: List[Span] = field(default_factory=list)
     #: "ok" or the error type of the reply.
     status: str = "ok"
     #: Client-side send/receive stamps (same monotonic clock), when the
@@ -96,7 +95,9 @@ def assemble_one(record: RequestTrace) -> Span:
 
     The returned root is the outermost span that exists for the request:
     the client span when the record carries client stamps, else the
-    server-side request span.
+    server-side request span.  The record's own spans are grafted and
+    clamped in place; clamping is idempotent, so assembling a record
+    again yields an equal tree.
     """
     t_end = record.t_reply_ns if record.t_reply_ns is not None \
         else record.t_accept_ns
@@ -111,8 +112,7 @@ def assemble_one(record: RequestTrace) -> Span:
                       attrs={"trace": record.trace_id})
         queued.t0_ns, queued.t1_ns = record.t_accept_ns, record.t_dispatch_ns
         request.children.append(queued)
-    for root in record.spans:
-        request.children.append(span_from_dict(root))
+    request.children.extend(record.spans)
     for child in request.children:
         _clamp(child, request.t0_ns, request.t1_ns)
     if record.client_t0_ns is None or record.client_t1_ns is None:

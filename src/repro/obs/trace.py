@@ -45,8 +45,6 @@ __all__ = [
     "uninstall",
     "traced",
     "new_trace_id",
-    "span_to_dict",
-    "span_from_dict",
 ]
 
 #: The installed tracer, or ``None`` when tracing is off (the common case).
@@ -233,35 +231,6 @@ def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (the request-correlation key the
     serving stack propagates client -> server -> worker, DESIGN.md §8)."""
     return os.urandom(8).hex()
-
-
-def span_to_dict(span: Span) -> Dict[str, Any]:
-    """A JSON/pickle-safe dict of one span subtree.
-
-    This is the wire form worker processes ship spans back in (the
-    cross-process half of :mod:`repro.obs.assemble`): absolute
-    ``perf_counter_ns`` stamps are kept as-is — on one host all
-    processes share the monotonic clock, so the assembler can interleave
-    spans from different pids on a common timeline.
-    """
-    return {
-        "name": span.name,
-        "kind": span.kind,
-        "t0_ns": span.t0_ns,
-        "t1_ns": span.t1_ns,
-        "attrs": dict(span.attrs),
-        "children": [span_to_dict(child) for child in span.children],
-    }
-
-
-def span_from_dict(data: Dict[str, Any]) -> Span:
-    """Rebuild a :class:`Span` subtree from :func:`span_to_dict` output."""
-    span = Span(str(data["name"]), kind=str(data.get("kind", "span")),
-                attrs=data.get("attrs") or {})
-    span.t0_ns = int(data.get("t0_ns", 0))
-    span.t1_ns = int(data.get("t1_ns", 0))
-    span.children = [span_from_dict(c) for c in data.get("children") or []]
-    return span
 
 
 def traced(name: str, kind: str = "span",

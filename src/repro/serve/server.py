@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.assemble import FlightRecorder, RequestTrace
 from ..obs.metrics import METRICS, render_prometheus
-from ..obs.trace import new_trace_id
+from ..obs.trace import Span, new_trace_id
 from ..scalarmult.fixed_base import DEFAULT_WIDTH
 from . import protocol
 from .worker import _HANDLERS, WorkerState, _execute_traced, execute_request
@@ -143,7 +143,7 @@ class _Pending:
     trace_id: Optional[str] = None
     t_accept_ns: int = 0
     t_dispatch_ns: Optional[int] = None
-    spans: Optional[List[Dict[str, Any]]] = None
+    spans: Optional[List[Span]] = None
 
 
 class EccServer:

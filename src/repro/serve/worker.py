@@ -24,7 +24,7 @@ from ..curves.params import CurveSuite, make_suite
 from ..curves.point import AffinePoint
 from ..faults.model import FaultDetectedError
 from ..obs.metrics import METRICS, render_prometheus
-from ..obs.trace import Tracer, span_to_dict
+from ..obs.trace import Span, Tracer
 from ..protocols import Ecdsa, Rsa, RsaKeyPair, Schnorr, XOnlyEcdh
 from ..protocols.ecdh import FullPointEcdh, KeyPair
 from ..scalarmult import adapter_for, montgomery_ladder_x, scalar_mult_naf
@@ -479,8 +479,8 @@ def execute_request(req: Dict[str, Any],
 
 def _execute_traced(
         req: Dict[str, Any], state: WorkerState, trace_id: str,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Run one request under a fresh tracer; returns (reply, span dicts).
+) -> Tuple[Dict[str, Any], List[Span]]:
+    """Run one request under a fresh tracer; returns (reply, root spans).
 
     The root span is tagged with the inbound trace context; the spans
     instrumented through scalarmult / curves / field nest underneath
@@ -492,4 +492,4 @@ def _execute_traced(
         with tracer.span("worker", kind="serve", trace=trace_id,
                          op=req["op"], curve=req.get("curve")):
             reply = execute_request(req, state)
-    return reply, [span_to_dict(root) for root in tracer.roots]
+    return reply, tracer.roots

@@ -24,8 +24,7 @@ def pin(core: AvrCore, tier: str) -> AvrCore:
 
     For ``"fast"`` the core's own basic-block engine stands in for the
     superblock dispatcher that ``run()`` calls, so the rest of ``run()``
-    — the watchpoint hand-off and the profiler's final fold — is the
-    library's own.
+    — the profiler's final fold — is the library's own.
     """
     if tier == "fast":
         core._trace_engine = core.fast_engine

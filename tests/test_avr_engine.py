@@ -28,8 +28,8 @@ from repro.obs.metrics import METRICS
 from iss_tiers import TIERS, build, make_core
 
 
-def _fresh_core(tier, mode=Mode.CA, policy="error", sram=1024):
-    return make_core(tier, mode=mode, hazard_policy=policy, sram_size=sram)
+def _fresh_core(tier, mode=Mode.CA, sram=1024):
+    return make_core(tier, mode=mode, sram_size=sram)
 
 
 def _state(core):
@@ -47,11 +47,11 @@ def _state(core):
     }
 
 
-def run_both(source, mode=Mode.CA, policy="error", sram=1024, init=None):
+def run_both(source, mode=Mode.CA, sram=1024, init=None):
     """Run on every tier; assert identical outcomes; return fast state."""
     states = {}
     for tier in TIERS:
-        core = _fresh_core(tier, mode, policy, sram)
+        core = _fresh_core(tier, mode, sram)
         assemble(source).load_into(core.program)
         if init:
             init(core)
@@ -226,13 +226,9 @@ class TestMacParity:
             mode=Mode.ISE,
         )
 
-    @pytest.mark.parametrize("policy", ["error", "stall", "ignore"])
-    def test_hazard_policies_agree(self, policy):
-        """Back-to-back trigger loads: hazard on every policy, same outcome.
-
-        Under ``error`` both engines must raise MacHazardError with the
-        same message *and* identical partially-executed state.
-        """
+    def test_back_to_back_triggers_raise_identically(self):
+        """Back-to-back trigger loads: every tier raises MacHazardError
+        with the same message *and* identical partially-executed state."""
         def init(core):
             core.data.load_bytes(0x150, bytes([0x34, 0x56]))
         state, err = run_both(
@@ -243,12 +239,9 @@ class TestMacParity:
             "    ld r24, X+\n"
             "    ld r24, X+\n"
             "    break\n",
-            mode=Mode.ISE, policy=policy, init=init,
+            mode=Mode.ISE, init=init,
         )
-        if policy == "error":
-            assert err is not None and err[0] == "MacHazardError"
-        else:
-            assert err is None
+        assert err is not None and err[0] == "MacHazardError"
 
     def test_mac_register_conflict_raises_identically(self):
         def init(core):
@@ -261,7 +254,7 @@ class TestMacParity:
             "    ld r24, X+\n"      # schedules two nibble MACs
             "    clr r4\n"          # touches a MAC-owned register
             "    break\n",
-            mode=Mode.ISE, policy="error", init=init,
+            mode=Mode.ISE, init=init,
         )
         assert err is not None and err[0] == "MacHazardError"
         assert "touches MAC-owned registers" in err[1]

@@ -265,10 +265,8 @@ class TestTraceForcedFallback:
     A hooked OUT instruction is an I/O escape — the superblock containing
     it has already side-exited before the hook runs — and the hook then
     yanks a guard out from under the trace tier: a flash write bumping
-    ``ProgramMemory.version`` (all superblocks invalidated at the next
-    dispatch) or arming a watchpoint (the rest of the run hands over to
-    watched reference stepping).  Every engine must land in the identical
-    final state.
+    ``ProgramMemory.version`` invalidates all superblocks at the next
+    dispatch.  Every engine must land in the identical final state.
     """
 
     #: An unhooked I/O address the fuzz programs poke mid-run.
@@ -280,9 +278,8 @@ class TestTraceForcedFallback:
         core.data.load_bytes(SRC_ADDR_A, a.to_bytes(nbytes, "little"))
         core.data.io_write_hooks[self.TRIGGER_IO] = hook_factory(core)
         core.run()
-        state = (bytes(core.data._mem), core.sreg.value, core.pc,
-                 core.cycles, core.instructions_retired)
-        return state, list(core.watch_hits)
+        return (bytes(core.data._mem), core.sreg.value, core.pc,
+                core.cycles, core.instructions_retired)
 
     @staticmethod
     def _interrupted_chain(nbytes: int) -> str:
@@ -311,30 +308,9 @@ class TestTraceForcedFallback:
 
         for _ in range(5):
             a = rng.getrandbits(8 * nbytes)
-            states = [self._run(e, source, a, nbytes, hook_factory)[0]
+            states = [self._run(e, source, a, nbytes, hook_factory)
                       for e in TestEngineDifferentialFuzz.ENGINES]
             assert states[0] == states[1] == states[2]
-
-    @pytest.mark.parametrize("nbytes", [4, 9, 20])
-    def test_trace_resumes_after_watchpoint_armed(self, nbytes):
-        rng = random.Random(nbytes + 0x7B)
-        source = self._interrupted_chain(nbytes)
-        watched = DST_ADDR + nbytes - 1  # written after the trigger
-
-        def hook_factory(core):
-            return lambda value: core.watchpoints.add(watched)
-
-        for _ in range(5):
-            a = rng.getrandbits(8 * nbytes)
-            results = [self._run(e, source, a, nbytes, hook_factory)
-                       for e in TestEngineDifferentialFuzz.ENGINES]
-            states = [state for state, _ in results]
-            assert states[0] == states[1] == states[2]
-            # Only the trace tier re-checks the watchpoint set at every
-            # dispatch, so only its run hands over to run_watched and
-            # records the hit on the watched destination byte.
-            _, trace_hits = results[2]
-            assert any(addr == watched for _, addr, _, _ in trace_hits)
 
 
 class TestRandomAluPrograms:

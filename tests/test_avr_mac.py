@@ -15,8 +15,8 @@ from repro.avr import (
 from repro.avr.mac import MacUnit, conflicts_with_mac
 
 
-def make_core(mode=Mode.ISE, policy="error"):
-    return AvrCore(ProgramMemory(), mode=mode, hazard_policy=policy)
+def make_core(mode=Mode.ISE):
+    return AvrCore(ProgramMemory(), mode=mode)
 
 
 ALG2 = """
@@ -249,48 +249,6 @@ class TestHazards:
         assemble(src).load_into(core.program)
         with pytest.raises(MacHazardError):
             core.run()
-
-    def test_stall_policy_preserves_result(self):
-        src = """
-            .equ MACCR = 0x28
-            ldi r20, 0x82
-            out MACCR, r20
-            ldi r28, 0x60
-            ldi r29, 0
-            ldi r30, 0x70
-            ldi r31, 0
-            ldd r16, Y+0
-            ldd r17, Y+1
-            ldd r18, Y+2
-            ldd r19, Y+3
-            ldd r24, Z+0
-            ldd r24, Z+1
-            ldd r24, Z+2
-            ldd r24, Z+3
-            movw r20, r0
-            break
-        """
-        core = make_core(policy="stall")
-        assemble(src).load_into(core.program)
-        core.data.load_bytes(0x60, (0xAABBCCDD).to_bytes(4, "little"))
-        core.data.load_bytes(0x70, (0x11223344).to_bytes(4, "little"))
-        core.run()
-        assert core.data.reg_window(0, 9) == 0xAABBCCDD * 0x11223344
-
-    def test_ignore_policy_runs_through(self):
-        core = make_core(policy="ignore")
-        src = """
-            .equ MACCR = 0x28
-            ldi r20, 0x82
-            out MACCR, r20
-            ldi r30, 0x70
-            ldi r31, 0
-            ldd r24, Z+0
-            add r0, r1
-            break
-        """
-        assemble(src).load_into(core.program)
-        core.run()  # no exception
 
     def test_non_owned_registers_allowed(self):
         """Loads into scratch registers may overlap MAC slots (the paper's

@@ -161,11 +161,11 @@ class TestMacSchedules:
         assert mix["LDD"] + mix.get("LD", 0) >= 200  # paper: 204 loads
 
     def test_both_schedules_hazard_free(self):
-        """Neither schedule trips the MAC hazard checker (policy='error')."""
+        """Neither schedule trips the MAC hazard checker."""
         constants = OpfConstants(u=65356, k=144)
         for optimized in (False, True):
             runner = KernelRunner(
                 generate_opf_mul_mac(constants, optimized=optimized),
-                Mode.ISE, hazard_policy="error",
+                Mode.ISE,
             )
             runner.run(0xFFFF_FFFF, 0xFFFF_FFFF)  # would raise on a hazard

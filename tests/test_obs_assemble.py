@@ -13,11 +13,11 @@ from repro.obs.assemble import (
     records_to_chrome,
 )
 from repro.obs.export import validate_chrome
-from repro.obs.trace import Span, span_to_dict
+from repro.obs.trace import Span
 
 
 def _worker_spans(t0, t1, trace="ab" * 8):
-    """A worker span with one kernel-level child, as span_to_dict data."""
+    """A worker span with one kernel-level child."""
     worker = Span("worker", kind="serve",
                   attrs={"trace": trace, "op": "keygen",
                          "curve": "secp160r1"})
@@ -25,7 +25,13 @@ def _worker_spans(t0, t1, trace="ab" * 8):
     kernel = Span("scalar_mult_fixed_base", kind="scalarmult")
     kernel.t0_ns, kernel.t1_ns = t0 + 100, t1 - 100
     worker.children.append(kernel)
-    return span_to_dict(worker)
+    return worker
+
+
+def _shape(span):
+    """A span tree as nested tuples, for equality checks."""
+    return (span.name, span.kind, span.t0_ns, span.t1_ns, span.attrs,
+            [_shape(child) for child in span.children])
 
 
 def _record(trace_id="ab" * 8, accept=10_000, dispatch=12_000, reply=30_000,
@@ -73,6 +79,16 @@ class TestAssembleOne:
         assert kernel.t0_ns >= worker.t0_ns
         assert kernel.t1_ns <= worker.t1_ns
         assert kernel.dur_ns >= 0
+
+    def test_assembling_twice_yields_equal_trees(self):
+        # Grafted spans are clamped in place; a second assembly of the
+        # same record (a slowlog dump after a chrome export) must agree,
+        # including when every stamp leaks out of the client window.
+        for rec in (_record(client_t0_ns=9_000, client_t1_ns=31_000),
+                    _record(spans=[_worker_spans(1_000, 99_000)],
+                            client_t0_ns=500, client_t1_ns=5_000)):
+            first = _shape(assemble_one(rec))
+            assert _shape(assemble_one(rec)) == first
 
     def test_undispatched_record_has_no_queue_span(self):
         rec = _record(dispatch=None, with_spans=False, status="Overloaded")
