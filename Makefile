@@ -6,8 +6,9 @@ export PYTHONPATH := src
         shard-smoke keys-smoke obs-serve-smoke perfbench-smoke docs \
         docs-check tables
 
+# CI's tier-1 step; --durations names the slowest tests in every log.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 test-bench:
 	$(PYTHON) -m pytest -q --run-bench tests/test_analysis_bench.py

@@ -45,16 +45,17 @@ from typing import Dict, Optional, Tuple
 
 from .instructions import EXECUTORS
 from .isa import BY_NAME, InstructionSpec, decode_word
-from .mac import MACCR_IO_ADDR, MacHazardError, MacUnit, conflicts_with_mac
+from .mac import (
+    _LOAD_NAMES,
+    MACCR_IO_ADDR,
+    MacHazardError,
+    MacUnit,
+    conflicts_with_mac,
+)
 from .memory import IO_SREG, DataSpace, ProgramMemory
 from .profiler import CALL_SEMS, RET_SEMS
 from .sreg import StatusRegister
 from .timing import Mode, dynamic_cycles
-
-_LOAD_NAMES = {
-    "LDS", "LD_X", "LD_XP", "LD_MX", "LD_YP", "LD_MY", "LD_ZP", "LD_MZ",
-    "LDD_Y", "LDD_Z", "POP",
-}
 
 
 class ExecutionError(RuntimeError):

@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs.metrics import METRICS
 from .encoding import sign_extend
 from .isa import InstructionSpec, instruction_words
-from .mac import MacHazardError, conflicts_with_mac
+from .mac import _LOAD_NAMES, MacHazardError, conflicts_with_mac
 from .profiler import BlockStatic, EngineProfile, group_of
 from .timing import Mode, base_cycles
 
@@ -86,12 +86,6 @@ _ENDERS = frozenset({
 #: Terminators whose cycle count depends on a runtime condition.
 _CONDITIONAL = frozenset({
     "brbs", "brbc", "cpse", "sbrc", "sbrs", "sbic", "sbis",
-})
-
-#: Instruction names whose R24 destination is a MAC trigger (hazard-exempt).
-_LOAD_NAMES = frozenset({
-    "LDS", "LD_X", "LD_XP", "LD_MX", "LD_YP", "LD_MY", "LD_ZP", "LD_MZ",
-    "LDD_Y", "LDD_Z", "POP",
 })
 
 #: Semantics that actually schedule MACs on a load into R24 (POP does not —

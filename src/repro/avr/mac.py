@@ -130,6 +130,15 @@ class MacUnit:
         return bool(self.pending)
 
 
+#: Instruction names whose R24 destination is a MAC trigger (hazard-exempt:
+#: one nibble may still be pending).  POP is classified with the loads
+#: although it schedules no MACs.
+_LOAD_NAMES = frozenset({
+    "LDS", "LD_X", "LD_XP", "LD_MX", "LD_YP", "LD_MY", "LD_ZP", "LD_MZ",
+    "LDD_Y", "LDD_Z", "POP",
+})
+
+
 def conflicts_with_mac(spec_name: str, ops: dict) -> bool:
     """Does an instruction touch MAC-owned registers?
 

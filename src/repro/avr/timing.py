@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict
 
-from .isa import InstructionSpec
+from .isa import TABLE, InstructionSpec
 
 
 class Mode(Enum):
@@ -65,6 +65,18 @@ _FAST_SINGLE_CYCLE = {
 
 _SKIP_NAMES = {"CPSE", "SBRC", "SBRS", "SBIC", "SBIS"}
 _BRANCH_NAMES = {"BRBS", "BRBC"}
+
+
+#: The most cycles one instruction can take in any mode — the bound
+#: :func:`dynamic_cycles` never exceeds: the slowest static entry, a taken
+#: branch, or a skip over the longest instruction, whichever is largest
+#: (FAST and ISE only ever drop cycles against CA).
+MAX_INSTR_CYCLES = max(
+    max(_CA_CYCLES.values()),
+    *(_CA_CYCLES.get(name, 1) + 1 for name in _BRANCH_NAMES),
+    *(_CA_CYCLES.get(name, 1) + max(spec.words for spec in TABLE)
+      for name in _SKIP_NAMES),
+)
 
 
 def base_cycles(spec: InstructionSpec, mode: Mode) -> int:

@@ -66,12 +66,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..obs.metrics import METRICS
 from .encoding import sign_extend
 from .isa import InstructionSpec, instruction_words
-from .mac import MacHazardError, conflicts_with_mac
+from .mac import _LOAD_NAMES, MacHazardError, conflicts_with_mac
 from .timing import Mode, base_cycles
 from .engine import (
     _ACC_MASK,
     _INDIRECT,
-    _LOAD_NAMES,
     _Gen,
     _emit_instruction,
     _emit_pop_return,

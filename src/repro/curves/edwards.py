@@ -133,6 +133,10 @@ class TwistedEdwardsCurve:
     def affine_neg(self, point: AffinePoint) -> AffinePoint:
         return AffinePoint(-point.x, point.y)
 
+    # The hot formulas run on internal ints through the field's counted
+    # ops, in the op order of the element expressions they replaced, and
+    # wrap each output coordinate in one element (:meth:`_extended`).
+
     @traced("double", kind="point", counter=_curve_counter)
     def double(self, point: ExtendedPoint,
                compute_t: bool = True) -> ExtendedPoint:
@@ -141,24 +145,23 @@ class TwistedEdwardsCurve:
         3M + 4S when ``compute_t`` is False (next op is another doubling),
         4M + 4S otherwise.  Does not require the input's T coordinate.
         """
-        x1, y1, z1 = point.x, point.y, point.z
-        a_sq = x1.square()
-        b_sq = y1.square()
-        z_sq = z1.square()
-        c = z_sq + z_sq
-        if self.a_int == self.field.p - 1:
-            d_term = -a_sq
+        fld = self.field
+        add, sub, mul, sqr = (fld.add_internal, fld.sub_internal,
+                              fld.mul_internal, fld.sqr_internal)
+        x1, y1, z1 = point.x.internal, point.y.internal, point.z.internal
+        a_sq = sqr(x1)
+        b_sq = sqr(y1)
+        z_sq = sqr(z1)
+        c = add(z_sq, z_sq)
+        if self.a_int == fld.p - 1:
+            d_term = fld.neg_internal(a_sq)
         else:
-            d_term = self.a * a_sq
-        e = (x1 + y1).square() - a_sq - b_sq
-        g = d_term + b_sq
-        f = g - c
-        h = d_term - b_sq
-        x3 = e * f
-        y3 = g * h
-        z3 = f * g
-        t3 = e * h if compute_t else None
-        return ExtendedPoint(x3, y3, z3, t3)
+            d_term = mul(self.a.internal, a_sq)
+        e = sub(sub(sqr(add(x1, y1)), a_sq), b_sq)  # (X + Y)^2 - A - B
+        g = add(d_term, b_sq)
+        f = sub(g, c)
+        h = sub(d_term, b_sq)
+        return self._extended(e, f, g, h, compute_t)
 
     @traced("add", kind="point", counter=_curve_counter)
     def add(self, p: ExtendedPoint, q: ExtendedPoint,
@@ -170,19 +173,19 @@ class TwistedEdwardsCurve:
         """
         if p.t is None or q.t is None:
             raise ValueError("unified addition requires extended inputs (T)")
-        a_term = p.x * q.x
-        b_term = p.y * q.y
-        c_term = self.d * (p.t * q.t)
-        d_term = p.z * q.z
-        e = (p.x + p.y) * (q.x + q.y) - a_term - b_term
-        f = d_term - c_term
-        g = d_term + c_term
-        h = b_term - self.a * a_term
-        x3 = e * f
-        y3 = g * h
-        z3 = f * g
-        t3 = e * h if compute_t else None
-        return ExtendedPoint(x3, y3, z3, t3)
+        fld = self.field
+        add, sub, mul = fld.add_internal, fld.sub_internal, fld.mul_internal
+        x1, y1, z1, t1 = p.x.internal, p.y.internal, p.z.internal, p.t.internal
+        x2, y2, z2, t2 = q.x.internal, q.y.internal, q.z.internal, q.t.internal
+        a_term = mul(x1, x2)
+        b_term = mul(y1, y2)
+        c_term = mul(self.d.internal, mul(t1, t2))
+        d_term = mul(z1, z2)
+        e = sub(sub(mul(add(x1, y1), add(x2, y2)), a_term), b_term)
+        f = sub(d_term, c_term)
+        g = add(d_term, c_term)
+        h = sub(b_term, mul(self.a.internal, a_term))
+        return self._extended(e, f, g, h, compute_t)
 
     def add_dedicated_am1(self, p: ExtendedPoint, q: ExtendedPoint,
                           compute_t: bool = True) -> ExtendedPoint:
@@ -236,19 +239,32 @@ class TwistedEdwardsCurve:
         """
         if p.t is None:
             raise ValueError("precomputed addition requires an extended input")
-        a_term = (p.y - p.x) * q.y_minus_x
-        b_term = (p.y + p.x) * q.y_plus_x
-        c_term = p.t * q.t2d
-        d_term = p.z + p.z
-        e = b_term - a_term
-        f = d_term - c_term
-        g = d_term + c_term
-        h = b_term + a_term
-        x3 = e * f
-        y3 = g * h
-        z3 = f * g
-        t3 = e * h if compute_t else None
-        return ExtendedPoint(x3, y3, z3, t3)
+        fld = self.field
+        add, sub, mul = fld.add_internal, fld.sub_internal, fld.mul_internal
+        x1, y1, z1 = p.x.internal, p.y.internal, p.z.internal
+        a_term = mul(sub(y1, x1), q.y_minus_x.internal)
+        b_term = mul(add(y1, x1), q.y_plus_x.internal)
+        c_term = mul(p.t.internal, q.t2d.internal)
+        d_term = add(z1, z1)
+        e = sub(b_term, a_term)
+        f = sub(d_term, c_term)
+        g = add(d_term, c_term)
+        h = add(b_term, a_term)
+        return self._extended(e, f, g, h, compute_t)
+
+    def _extended(self, e: int, f: int, g: int, h: int,
+                  compute_t: bool) -> ExtendedPoint:
+        """The shared tail of the extended formulas on internals:
+        (EF : GH : FG : EH), one element per coordinate; 3M, or 4M with
+        the T coordinate."""
+        fld = self.field
+        mul = fld.mul_internal
+        x3 = mul(e, f)
+        y3 = mul(g, h)
+        z3 = mul(f, g)
+        t3 = FpElement(fld, mul(e, h)) if compute_t else None
+        return ExtendedPoint(FpElement(fld, x3), FpElement(fld, y3),
+                             FpElement(fld, z3), t3)
 
     # -- affine reference arithmetic -----------------------------------------
 

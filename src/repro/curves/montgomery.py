@@ -93,20 +93,28 @@ class MontgomeryCurve:
         return point.x * point.z.invert()
 
     # -- differential arithmetic ---------------------------------------------
+    #
+    # Both formulas run on internal ints through the field's counted ops,
+    # in the op order of the element expressions they replaced, and wrap
+    # each output coordinate in one element.
 
     @traced("xdbl", kind="point", counter=_curve_counter)
     def xdbl(self, p: XZPoint) -> XZPoint:
         """x-only doubling: 2M + 2S + 1 small-constant multiplication."""
-        s = (p.x + p.z).square()
-        d = (p.x - p.z).square()
-        c = s - d  # = 4 X Z
-        x2 = s * d
+        f = self.field
+        add, sub, mul, sqr = (f.add_internal, f.sub_internal,
+                              f.mul_internal, f.sqr_internal)
+        x, z = p.x.internal, p.z.internal
+        s = sqr(add(x, z))
+        d = sqr(sub(x, z))
+        c = sub(s, d)  # = 4 X Z
+        x2 = mul(s, d)
         if self.a24_small is not None:
-            t = c.mul_small(self.a24_small)
+            t = f.mul_small_internal(c, self.a24_small)
         else:
-            t = c * self.a24
-        z2 = c * (d + t)
-        return XZPoint(x2, z2)
+            t = mul(c, self.a24.internal)
+        z2 = mul(c, add(d, t))
+        return XZPoint(FpElement(f, x2), FpElement(f, z2))
 
     @traced("xadd", kind="point", counter=_curve_counter)
     def xadd(self, p: XZPoint, q: XZPoint, diff: XZPoint) -> XZPoint:
@@ -115,16 +123,20 @@ class MontgomeryCurve:
         4M + 2S in general; 3M + 2S when the difference is affine (Z = 1),
         which is how the ladder uses it (the difference is the base point).
         """
-        da = (p.x + p.z) * (q.x - q.z)
-        cb = (p.x - p.z) * (q.x + q.z)
-        plus = (da + cb).square()
-        minus = (da - cb).square()
+        f = self.field
+        add, sub, mul, sqr = (f.add_internal, f.sub_internal,
+                              f.mul_internal, f.sqr_internal)
+        x1, z1, x2, z2 = p.x.internal, p.z.internal, q.x.internal, q.z.internal
+        da = mul(add(x1, z1), sub(x2, z2))
+        cb = mul(sub(x1, z1), add(x2, z2))
+        plus = sqr(add(da, cb))
+        minus = sqr(sub(da, cb))
         if diff.z.is_one():
             x3 = plus  # multiplication by Z(diff) = 1 elided
         else:
-            x3 = diff.z * plus
-        z3 = diff.x * minus
-        return XZPoint(x3, z3)
+            x3 = mul(diff.z.internal, plus)
+        z3 = mul(diff.x.internal, minus)
+        return XZPoint(FpElement(f, x3), FpElement(f, z3))
 
     def ladder_step(self, r0: XZPoint, r1: XZPoint,
                     base: XZPoint) -> Tuple[XZPoint, XZPoint]:

@@ -98,6 +98,11 @@ class WeierstrassCurve:
     def neg(self, point: JacobianPoint) -> JacobianPoint:
         return JacobianPoint(point.x, -point.y, point.z)
 
+    # The formulas run on internal ints through the field's counted ops,
+    # in the op order of the element expressions they replaced (spelled
+    # out in the comments where nesting hides it), and wrap each output
+    # coordinate in one element.
+
     @traced("double", kind="point", counter=_curve_counter)
     def double(self, point: JacobianPoint) -> JacobianPoint:
         """Jacobian doubling; the half-trace term depends on ``a``:
@@ -109,32 +114,36 @@ class WeierstrassCurve:
         if point.is_infinity() or point.y.is_zero():
             return self.identity
         f = self.field
-        x, y, z = point.x, point.y, point.z
-        y_sq = y.square()
-        y_quad = y_sq.square()
-        s = x * y_sq
-        s = s + s
-        s = s + s  # S = 4 * X * Y^2
+        add, sub, mul, sqr = (f.add_internal, f.sub_internal,
+                              f.mul_internal, f.sqr_internal)
+        x, y, z = point.x.internal, point.y.internal, point.z.internal
+        y_sq = sqr(y)
+        y_quad = sqr(y_sq)
+        s = mul(x, y_sq)
+        s = add(s, s)
+        s = add(s, s)  # S = 4 * X * Y^2
         if self.a_int == 0:
-            x_sq = x.square()
-            m3 = x_sq + x_sq + x_sq
+            x_sq = sqr(x)
+            m3 = add(add(x_sq, x_sq), x_sq)
         elif self.a_int == f.p - 3:
-            z_sq = z.square()
-            t = (x - z_sq) * (x + z_sq)
-            m3 = t + t + t
+            z_sq = sqr(z)
+            t = mul(sub(x, z_sq), add(x, z_sq))  # (X - Z^2)(X + Z^2)
+            m3 = add(add(t, t), t)
         else:
-            x_sq = x.square()
-            z_sq = z.square()
-            z_quad = z_sq.square()
-            m3 = x_sq + x_sq + x_sq + self.a * z_quad
-        x3 = m3.square() - (s + s)
-        eight_y4 = y_quad + y_quad
-        eight_y4 = eight_y4 + eight_y4
-        eight_y4 = eight_y4 + eight_y4
-        y3 = m3 * (s - x3) - eight_y4
-        z3 = y * z
-        z3 = z3 + z3
-        return JacobianPoint(x3, y3, z3)
+            x_sq = sqr(x)
+            z_sq = sqr(z)
+            z_quad = sqr(z_sq)
+            m3 = add(add(add(x_sq, x_sq), x_sq),
+                     mul(self.a.internal, z_quad))  # 3X^2 + a Z^4
+        x3 = sub(sqr(m3), add(s, s))
+        eight_y4 = add(y_quad, y_quad)
+        eight_y4 = add(eight_y4, eight_y4)
+        eight_y4 = add(eight_y4, eight_y4)
+        y3 = sub(mul(m3, sub(s, x3)), eight_y4)  # M3 (S - X3) - 8Y^4
+        z3 = mul(y, z)
+        z3 = add(z3, z3)
+        return JacobianPoint(FpElement(f, x3), FpElement(f, y3),
+                             FpElement(f, z3))
 
     @traced("add", kind="point", counter=_curve_counter)
     def add(self, p: JacobianPoint, q: JacobianPoint) -> JacobianPoint:
@@ -143,25 +152,31 @@ class WeierstrassCurve:
             return q
         if q.is_infinity():
             return p
-        z1_sq = p.z.square()
-        z2_sq = q.z.square()
-        u1 = p.x * z2_sq
-        u2 = q.x * z1_sq
-        s1 = p.y * z2_sq * q.z
-        s2 = q.y * z1_sq * p.z
-        h = u2 - u1
-        r = s2 - s1
-        if h.is_zero():
-            if r.is_zero():
+        f = self.field
+        add, sub, mul, sqr = (f.add_internal, f.sub_internal,
+                              f.mul_internal, f.sqr_internal)
+        x1, y1, z1 = p.x.internal, p.y.internal, p.z.internal
+        x2, y2, z2 = q.x.internal, q.y.internal, q.z.internal
+        z1_sq = sqr(z1)
+        z2_sq = sqr(z2)
+        u1 = mul(x1, z2_sq)
+        u2 = mul(x2, z1_sq)
+        s1 = mul(mul(y1, z2_sq), z2)
+        s2 = mul(mul(y2, z1_sq), z1)
+        h = sub(u2, u1)
+        r = sub(s2, s1)
+        if f.internal_to_int(h) == 0:
+            if f.internal_to_int(r) == 0:
                 return self.double(p)
             return self.identity
-        h_sq = h.square()
-        h_cu = h * h_sq
-        v = u1 * h_sq
-        x3 = r.square() - h_cu - (v + v)
-        y3 = r * (v - x3) - s1 * h_cu
-        z3 = p.z * q.z * h
-        return JacobianPoint(x3, y3, z3)
+        h_sq = sqr(h)
+        h_cu = mul(h, h_sq)
+        v = mul(u1, h_sq)
+        x3 = sub(sub(sqr(r), h_cu), add(v, v))  # R^2 - H^3 - 2V
+        y3 = sub(mul(r, sub(v, x3)), mul(s1, h_cu))  # R (V - X3) - S1 H^3
+        z3 = mul(mul(z1, z2), h)
+        return JacobianPoint(FpElement(f, x3), FpElement(f, y3),
+                             FpElement(f, z3))
 
     @traced("add_mixed", kind="point", counter=_curve_counter)
     def add_mixed(self, p: JacobianPoint, q: MaybePoint) -> JacobianPoint:
@@ -170,22 +185,27 @@ class WeierstrassCurve:
             return p
         if p.is_infinity():
             return self.from_affine(q)
-        z1_sq = p.z.square()
-        u2 = q.x * z1_sq
-        s2 = q.y * z1_sq * p.z
-        h = u2 - p.x
-        r = s2 - p.y
-        if h.is_zero():
-            if r.is_zero():
+        f = self.field
+        add, sub, mul, sqr = (f.add_internal, f.sub_internal,
+                              f.mul_internal, f.sqr_internal)
+        x1, y1, z1 = p.x.internal, p.y.internal, p.z.internal
+        z1_sq = sqr(z1)
+        u2 = mul(q.x.internal, z1_sq)
+        s2 = mul(mul(q.y.internal, z1_sq), z1)
+        h = sub(u2, x1)
+        r = sub(s2, y1)
+        if f.internal_to_int(h) == 0:
+            if f.internal_to_int(r) == 0:
                 return self.double(p)
             return self.identity
-        h_sq = h.square()
-        h_cu = h * h_sq
-        v = p.x * h_sq
-        x3 = r.square() - h_cu - (v + v)
-        y3 = r * (v - x3) - p.y * h_cu
-        z3 = p.z * h
-        return JacobianPoint(x3, y3, z3)
+        h_sq = sqr(h)
+        h_cu = mul(h, h_sq)
+        v = mul(x1, h_sq)
+        x3 = sub(sub(sqr(r), h_cu), add(v, v))  # R^2 - H^3 - 2V
+        y3 = sub(mul(r, sub(v, x3)), mul(y1, h_cu))  # R (V - X3) - Y1 H^3
+        z3 = mul(z1, h)
+        return JacobianPoint(FpElement(f, x3), FpElement(f, y3),
+                             FpElement(f, z3))
 
     # -- affine reference arithmetic -------------------------------------------
 

@@ -7,7 +7,7 @@ core that boundary is reached by single-stepping.  On a default core the
 injector advances in compiled-block strides of the core's basic-block
 engine (:meth:`FastEngine.step_block`; superblocks carry no fault hooks)
 while the trigger is provably more than one block away — a block can cost at
-most ``MAX_BLOCK_INSTRUCTIONS * _MAX_INSTR_CYCLES`` cycles — and switches to
+most ``MAX_BLOCK_INSTRUCTIONS * MAX_INSTR_CYCLES`` cycles — and switches to
 single-stepping for the final approach.  Every execution tier therefore
 interrupts at the *same* boundary with the same architectural state, which
 is what the parity tests in ``tests/test_faults.py`` assert.
@@ -39,16 +39,13 @@ from typing import List, Optional, Sequence
 
 from ..avr.core import AvrCore
 from ..avr.engine import MAX_BLOCK_INSTRUCTIONS
+from ..avr.timing import MAX_INSTR_CYCLES
 from .model import FaultSpec
 
 __all__ = ["AppliedFault", "FaultInjector"]
 
-#: Conservative upper bound on the cycles one instruction can consume
-#: (the longest CALL/RET timing is 4, with headroom).
-_MAX_INSTR_CYCLES = 16
-
 #: A compiled block can never cost more cycles than this.
-_BLOCK_CYCLE_BOUND = MAX_BLOCK_INSTRUCTIONS * _MAX_INSTR_CYCLES
+_BLOCK_CYCLE_BOUND = MAX_BLOCK_INSTRUCTIONS * MAX_INSTR_CYCLES
 
 
 @dataclass(frozen=True)

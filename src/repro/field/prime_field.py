@@ -16,9 +16,10 @@ the internal values of the word-level routines in :mod:`repro.mpa`, which
 remain the reference and the source of the word-op tally each operation
 stands for.
 
-Every field owns a :class:`~repro.field.counters.FieldOpCounter`; the
-element operators bump it, which is how the cycle model later prices a whole
-scalar multiplication.
+Every field owns a :class:`~repro.field.counters.FieldOpCounter`; its
+counted ops on internal ints (``add_internal`` ... ``inv_internal``) bump it,
+which is how the cycle model later prices a whole scalar multiplication.
+The element API and the hot point formulas both go through those ops.
 """
 
 from __future__ import annotations
@@ -70,19 +71,8 @@ class PrimeField:
     def _mul(self, x: int, y: int) -> int:
         raise NotImplementedError
 
-    def _sqr(self, x: int) -> int:
-        return self._mul(x, x)
-
     def _mul_small(self, x: int, constant: int) -> int:
         raise NotImplementedError
-
-    def _neg(self, x: int) -> int:
-        """Negation; default is a subtraction from the internal zero."""
-        return self._sub(self._zero_internal(), x)
-
-    def _zero_internal(self) -> int:
-        """Internal representation of 0 (free of charge on any backend)."""
-        return 0
 
     def _inv(self, x: int) -> int:
         raise NotImplementedError
@@ -112,82 +102,104 @@ class PrimeField:
             raise ValueError("refusing to enumerate a large field")
         return [self.from_int(v) for v in range(self.p)]
 
-    # -- counted operations -------------------------------------------------
+    # -- counted operations on internals -----------------------------------
     #
-    # Each operation is individually traceable: when a tracer is installed
-    # *and* opted into per-field-op spans (``Tracer(field_ops=True)``), the
-    # whole counted body runs under a span so the counter delta captures
-    # the op itself plus the word-level work it decomposed into.  The
-    # untraced path pays one global load and one comparison.
+    # The one place field ops are counted.  Each op bumps its
+    # FieldOpCounter tally and computes on internal ints; when a tracer is
+    # installed *and* opted into per-field-op spans
+    # (``Tracer(field_ops=True)``), the count and the computation run
+    # under a span so its counter delta captures the op.  The untraced
+    # path pays one global load and one comparison.  Point formulas call
+    # these directly and wrap each output coordinate in one element.
 
-    def add(self, a: FpElement, b: FpElement) -> FpElement:
+    def _traced(self, tr: "_trace.Tracer", name: str, hook,
+                *args: int) -> int:
+        """Count op *name* and run *hook* under its per-field-op span."""
+        counter = self.counter
+        with tr.span(name, kind="field", counter=counter):
+            setattr(counter, name, getattr(counter, name) + 1)
+            return hook(*args)
+
+    def add_internal(self, x: int, y: int) -> int:
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("add", kind="field", counter=self.counter):
-                self.counter.add += 1
-                return FpElement(self, self._add(a.internal, b.internal))
+            return self._traced(tr, "add", self._add, x, y)
         self.counter.add += 1
-        return FpElement(self, self._add(a.internal, b.internal))
+        return self._add(x, y)
 
-    def sub(self, a: FpElement, b: FpElement) -> FpElement:
+    def sub_internal(self, x: int, y: int) -> int:
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("sub", kind="field", counter=self.counter):
-                self.counter.sub += 1
-                return FpElement(self, self._sub(a.internal, b.internal))
+            return self._traced(tr, "sub", self._sub, x, y)
         self.counter.sub += 1
-        return FpElement(self, self._sub(a.internal, b.internal))
+        return self._sub(x, y)
 
-    def neg(self, a: FpElement) -> FpElement:
+    def neg_internal(self, x: int) -> int:
+        """Negation: a subtraction from the internal zero (0 on every
+        backend)."""
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("neg", kind="field", counter=self.counter):
-                self.counter.neg += 1
-                return FpElement(self, self._neg(a.internal))
+            return self._traced(tr, "neg", self._sub, 0, x)
         self.counter.neg += 1
-        return FpElement(self, self._neg(a.internal))
+        return self._sub(0, x)
 
-    def mul(self, a: FpElement, b: FpElement) -> FpElement:
+    def mul_internal(self, x: int, y: int) -> int:
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("mul", kind="field", counter=self.counter):
-                self.counter.mul += 1
-                return FpElement(self, self._mul(a.internal, b.internal))
+            return self._traced(tr, "mul", self._mul, x, y)
         self.counter.mul += 1
-        return FpElement(self, self._mul(a.internal, b.internal))
+        return self._mul(x, y)
 
-    def sqr(self, a: FpElement) -> FpElement:
+    def sqr_internal(self, x: int) -> int:
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("sqr", kind="field", counter=self.counter):
-                self.counter.sqr += 1
-                return FpElement(self, self._sqr(a.internal))
+            return self._traced(tr, "sqr", self._mul, x, x)
         self.counter.sqr += 1
-        return FpElement(self, self._sqr(a.internal))
+        return self._mul(x, x)
 
-    def mul_small(self, a: FpElement, constant: int) -> FpElement:
+    def mul_small_internal(self, x: int, constant: int) -> int:
         if not 0 <= constant < (1 << 16):
             raise ValueError(
                 f"mul_small constant must fit in 16 bits, got {constant}"
             )
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("mul_small", kind="field", counter=self.counter):
-                self.counter.mul_small += 1
-                return FpElement(self, self._mul_small(a.internal, constant))
+            return self._traced(tr, "mul_small", self._mul_small, x,
+                                constant)
         self.counter.mul_small += 1
-        return FpElement(self, self._mul_small(a.internal, constant))
+        return self._mul_small(x, constant)
 
-    def inv(self, a: FpElement) -> FpElement:
-        if a.is_zero():
+    def inv_internal(self, x: int) -> int:
+        if self.internal_to_int(x) == 0:
             raise ZeroDivisionError("zero has no inverse")
         tr = _trace.CURRENT
         if tr is not None and tr.field_ops:
-            with tr.span("inv", kind="field", counter=self.counter):
-                self.counter.inv += 1
-                return FpElement(self, self._inv(a.internal))
+            return self._traced(tr, "inv", self._inv, x)
         self.counter.inv += 1
-        return FpElement(self, self._inv(a.internal))
+        return self._inv(x)
+
+    # -- the element API: one element around each counted op ---------------
+
+    def add(self, a: FpElement, b: FpElement) -> FpElement:
+        return FpElement(self, self.add_internal(a.internal, b.internal))
+
+    def sub(self, a: FpElement, b: FpElement) -> FpElement:
+        return FpElement(self, self.sub_internal(a.internal, b.internal))
+
+    def neg(self, a: FpElement) -> FpElement:
+        return FpElement(self, self.neg_internal(a.internal))
+
+    def mul(self, a: FpElement, b: FpElement) -> FpElement:
+        return FpElement(self, self.mul_internal(a.internal, b.internal))
+
+    def sqr(self, a: FpElement) -> FpElement:
+        return FpElement(self, self.sqr_internal(a.internal))
+
+    def mul_small(self, a: FpElement, constant: int) -> FpElement:
+        return FpElement(self, self.mul_small_internal(a.internal, constant))
+
+    def inv(self, a: FpElement) -> FpElement:
+        return FpElement(self, self.inv_internal(a.internal))
 
     def pow(self, a: FpElement, exponent: int) -> FpElement:
         """Square-and-multiply exponentiation through counted operations."""

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.avr import AvrCore, Mode, ProgramMemory, assemble
-from repro.avr.isa import BY_NAME
-from repro.avr.timing import base_cycles, dynamic_cycles
+from repro.avr.isa import BY_NAME, TABLE
+from repro.avr.timing import MAX_INSTR_CYCLES, base_cycles, dynamic_cycles
 
 
 def cycles_of(source: str, mode: Mode) -> int:
@@ -102,3 +102,29 @@ class TestPaperSpeedupShape:
         ca = cycles_of(src, Mode.CA)
         fast = cycles_of(src, Mode.FAST)
         assert ca - fast == 50
+
+
+class TestInstructionCycleBound:
+    """``MAX_INSTR_CYCLES`` bounds every instruction in every mode; the
+    fault injector's block stride is derived from it."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_no_instruction_exceeds_the_bound(self, mode):
+        longest = max(spec.words for spec in TABLE)
+        worst = max(dynamic_cycles(spec, mode, taken, skip)
+                    for spec in TABLE
+                    for taken in (False, True)
+                    for skip in range(longest + 1))
+        assert worst <= MAX_INSTR_CYCLES
+
+    def test_bound_is_attained(self):
+        # CALL/RET/RETI take 4 CA cycles: the bound is tight, not padded.
+        assert MAX_INSTR_CYCLES == 4
+        assert dynamic_cycles(BY_NAME["CALL"], Mode.CA, False, 0) == 4
+
+    def test_injector_block_stride_uses_the_bound(self):
+        from repro.avr.engine import MAX_BLOCK_INSTRUCTIONS
+        from repro.faults import injector
+
+        assert injector._BLOCK_CYCLE_BOUND == (MAX_BLOCK_INSTRUCTIONS
+                                               * MAX_INSTR_CYCLES)
